@@ -133,8 +133,40 @@ def qr_coupling(layout: SpaceLayout, pair: int, color: str, rate: float) -> np.n
     return (rate / 2.0) * (term + term.conj().T)
 
 
-def _resonator_diagonal(layout: SpaceLayout, omega_r1: float, omega_r2: float) -> np.ndarray:
-    return omega_r1 * number_op(layout, "r1").entries + omega_r2 * number_op(layout, "r2").entries
+def assemble(
+    hqq: ComplexOperator, qr1: SidebandDrive, qr2: SidebandDrive, layout: SpaceLayout
+) -> ComplexOperator:
+    """Full-system Hamiltonian: a two-qubit block plus one sideband per pair.
+
+    H = hqq (x) 1 + qr_coupling(1) + qr_coupling(2)
+        + det1 n_r1 + det2 n_r2
+    with each resonator's photon energy taken from its sideband detuning.
+    """
+    res_dim = layout.total_dim // 4
+    h = np.kron(hqq.entries, np.eye(res_dim, dtype=complex))
+    h += qr_coupling(layout, 1, qr1.color, qr1.rate)
+    h += qr_coupling(layout, 2, qr2.color, qr2.rate)
+    h += (
+        qr1.detuning * number_op(layout, "r1").entries
+        + qr2.detuning * number_op(layout, "r2").entries
+    )
+    return ComplexOperator(layout, h)
+
+
+def _sideband_recipe(
+    qq_color: str, colors: tuple, omega: float, delta: float, w1: float, w2: float,
+    layout: Optional[SpaceLayout], sign: float = 1.0,
+) -> ComplexOperator:
+    """A named builder's drive recipe: the qubit-qubit sideband at Omega with
+    detuning delta on q1, and resonator detunings sign*(Delta +- delta)/2."""
+    big_delta = math.hypot(omega, delta)
+    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, omega, delta)))
+    return assemble(
+        hqq,
+        SidebandDrive(colors[0], w1, sign * (big_delta + delta) / 2.0),
+        SidebandDrive(colors[1], w2, sign * (big_delta - delta) / 2.0),
+        layout or SpaceLayout(),
+    )
 
 
 def build_even_parity_system(
@@ -146,17 +178,7 @@ def build_even_parity_system(
         + (W1/2)(a_q1 a_r1 + h.c.) + (W2/2)(a_q2 a_r2 + h.c.)
         + ((Delta+delta)/2) n_r1 + ((Delta-delta)/2) n_r2
     """
-    layout = layout or SpaceLayout()
-    big_delta = math.hypot(omega, delta)
-    aq1 = annihilation(layout, "q1").entries
-    aq2 = annihilation(layout, "q2").entries
-    qq = aq1 @ aq2
-    h = (omega / 2.0) * (qq + qq.conj().T)
-    h += delta * number_op(layout, "q1").entries
-    h += qr_coupling(layout, 1, "blue", w1)
-    h += qr_coupling(layout, 2, "blue", w2)
-    h += _resonator_diagonal(layout, (big_delta + delta) / 2.0, (big_delta - delta) / 2.0)
-    return ComplexOperator(layout, h)
+    return _sideband_recipe("blue", ("blue", "blue"), omega, delta, w1, w2, layout)
 
 
 def build_odd_parity_system(
@@ -169,17 +191,7 @@ def build_odd_parity_system(
     on the second (rate W4); resonator detunings (Delta+delta)/2 and
     (Delta-delta)/2.
     """
-    layout = layout or SpaceLayout()
-    big_delta = math.hypot(omega, delta)
-    aq1 = annihilation(layout, "q1").entries
-    aq2 = annihilation(layout, "q2").entries
-    qq = aq1.conj().T @ aq2
-    h = (omega / 2.0) * (qq + qq.conj().T)
-    h += delta * number_op(layout, "q1").entries
-    h += qr_coupling(layout, 1, "red", w3)
-    h += qr_coupling(layout, 2, "blue", w4)
-    h += _resonator_diagonal(layout, (big_delta + delta) / 2.0, (big_delta - delta) / 2.0)
-    return ComplexOperator(layout, h)
+    return _sideband_recipe("red", ("red", "blue"), omega, delta, w3, w4, layout)
 
 
 VARIANTS = ("blue_blue", "red_red", "opposite_detuning")
@@ -201,29 +213,11 @@ def build_color_variant(
     sign of both resonator diagonal terms, which moves the stabilized
     point to the orthogonal member of the family.
     """
-    layout = layout or SpaceLayout()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "blue_blue":
-        return build_even_parity_system(omega, delta, w1, w2, layout)
-    big_delta = math.hypot(omega, delta)
-    aq1 = annihilation(layout, "q1").entries
-    aq2 = annihilation(layout, "q2").entries
-    qq = aq1 @ aq2
-    h = (omega / 2.0) * (qq + qq.conj().T)
-    h += delta * number_op(layout, "q1").entries
-    if variant == "red_red":
-        h += qr_coupling(layout, 1, "red", w1)
-        h += qr_coupling(layout, 2, "red", w2)
-        sign = 1.0
-    else:
-        h += qr_coupling(layout, 1, "blue", w1)
-        h += qr_coupling(layout, 2, "blue", w2)
-        sign = -1.0
-    h += _resonator_diagonal(
-        layout, sign * (big_delta + delta) / 2.0, sign * (big_delta - delta) / 2.0
-    )
-    return ComplexOperator(layout, h)
+    colors = ("red", "red") if variant == "red_red" else ("blue", "blue")
+    sign = -1.0 if variant == "opposite_detuning" else 1.0
+    return _sideband_recipe("blue", colors, omega, delta, w1, w2, layout, sign)
 
 
 def build_qubit_block(drives: DriveSet, detuning_convention: str = "q1") -> ComplexOperator:
@@ -237,25 +231,21 @@ def build_qubit_block(drives: DriveSet, detuning_convention: str = "q1") -> Comp
     if detuning_convention not in ("q1", "split"):
         raise ValueError(f"unknown detuning convention {detuning_convention!r}")
     h = np.zeros((4, 4), dtype=complex)
-    if drives.rabi_q1 is not None:
-        a1 = drives.rabi_q1.rate / 2.0
-        h[0, 2] = h[2, 0] = h[0, 2] + a1
-        h[1, 3] = h[3, 1] = h[1, 3] + a1
-        h += np.diag([0.0, 0.0, drives.rabi_q1.detuning, drives.rabi_q1.detuning])
-    if drives.rabi_q2 is not None:
-        a2 = drives.rabi_q2.rate / 2.0
-        h[0, 1] = h[1, 0] = h[0, 1] + a2
-        h[2, 3] = h[3, 2] = h[2, 3] + a2
-        h += np.diag([0.0, drives.rabi_q2.detuning, 0.0, drives.rabi_q2.detuning])
+    # a Rabi drive flips one qubit; its detuning shifts the states where it is excited
+    for rabi, pairs, excited in (
+        (drives.rabi_q1, ((0, 2), (1, 3)), [2, 3]),
+        (drives.rabi_q2, ((0, 1), (2, 3)), [1, 3]),
+    ):
+        if rabi is not None:
+            for i, j in pairs:
+                h[i, j] = h[j, i] = h[i, j] + rabi.rate / 2.0
+            h[excited, excited] += rabi.detuning
     if drives.qq is not None:
         qq = drives.qq
-        coupling = qq.rate / 2.0
-        if qq.color == "blue":
-            h[0, 3] = h[3, 0] = h[0, 3] + coupling
-        else:
-            h[1, 2] = h[2, 1] = h[1, 2] + coupling
+        i, j = (0, 3) if qq.color == "blue" else (1, 2)
+        h[i, j] = h[j, i] = h[i, j] + qq.rate / 2.0
         if detuning_convention == "q1":
-            h += np.diag([0.0, 0.0, qq.detuning, qq.detuning])
+            h[[2, 3], [2, 3]] += qq.detuning
         else:
             if qq.color != "blue":
                 raise ValueError("split detuning is only defined for the blue qubit-qubit sideband")
@@ -346,13 +336,7 @@ def plan_stabilization(
 
 def build_from_plan(plan: StabilizationPlan, layout: Optional[SpaceLayout] = None) -> ComplexOperator:
     """Assemble the full-system Hamiltonian described by a stabilization plan."""
-    layout = layout or SpaceLayout()
-    res_dim = layout.total_dim // 4
-    h = np.kron(plan.hqq.entries, np.eye(res_dim, dtype=complex))
-    h += qr_coupling(layout, 1, plan.qr1.color, plan.qr1.rate)
-    h += qr_coupling(layout, 2, plan.qr2.color, plan.qr2.rate)
-    h += _resonator_diagonal(layout, plan.qr1.detuning, plan.qr2.detuning)
-    return ComplexOperator(layout, h)
+    return assemble(plan.hqq, plan.qr1, plan.qr2, layout or SpaceLayout())
 
 
 def build_lindblad(h: ComplexOperator, noise: NoiseSpec) -> LindbladProblem:

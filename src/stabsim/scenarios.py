@@ -6,6 +6,10 @@ parity switching, or one of the robustness / manifold sweeps.  Configs
 are plain JSON with frequencies in MHz (value = omega / 2 pi) and times
 in microseconds; all physics runs in rad/us internally.
 
+A scenario kind is one entry of :data:`KINDS`: its defaults, CSV
+columns, job list and point function, plus optional validation,
+summary and analytic-comparison hooks.
+
 Grid points are embarrassingly parallel: every point is computed from
 (config, index) alone and results are merged by index, so output files
 are byte-identical regardless of the worker count.
@@ -13,12 +17,13 @@ are byte-identical regardless of the worker count.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -101,123 +106,39 @@ MANIFOLD_NOISE = {
 
 MANIFOLD_DRIVES = {"omega_mhz": 5.0, "w1_mhz": 0.5, "w2_mhz": 0.5}
 
-SCENARIO_INFO = {
-    "time_domain": "Bell-state stabilization fidelity versus time from the ground state",
-    "theta_spectroscopy": "steady-state fidelity across the blending-angle family",
-    "parity_switch": "dissipative switching of the stabilized Bell-state parity",
-    "tphi_sweep": "steady-state fidelity versus qubit dephasing time",
-    "kappa_sweep": "steady-state fidelity versus resonator decay over sideband rate",
-    "omega_kappa_map": "fidelity map over qubit-qubit rate and resonator decay at matched W",
-    "dressed_parity_sweep": "fidelity across the dressed-parity target family",
-    "rabi_dressed_map": "fidelity map over the two-parameter Rabi-dressed target family",
-    "rate_model_compare": "solver steady-state fidelity against the analytic rate model",
-}
-
-SCENARIO_KINDS = tuple(SCENARIO_INFO)
-
-_COLUMNS = {
-    "time_domain": ("t_us", "fidelity", "purity", "parity"),
-    "theta_spectroscopy": ("theta_deg", "delta_mhz", "fidelity", "purity", "parity"),
-    "parity_switch": ("t_us", "parity", "fidelity_even", "fidelity_odd"),
-    "tphi_sweep": ("family", "tphi_us", "fidelity", "purity"),
-    "kappa_sweep": ("family", "kappa_over_w", "kappa_mhz", "fidelity", "purity"),
-    "omega_kappa_map": ("omega_mhz", "kappa_mhz", "fidelity", "infidelity"),
-    "dressed_parity_sweep": ("branch", "a1_over_omega", "theta1_deg", "fidelity", "purity"),
-    "rabi_dressed_map": ("delta_over_omega", "a1_over_omega", "fidelity", "purity"),
-    "rate_model_compare": ("theta_deg", "lindblad_fidelity", "rate_fidelity", "abs_difference"),
-}
-
 _THETA_GRID_DEFAULT = {"start_deg": 5.0, "stop_deg": 175.0, "step_deg": 5.0}
 
+# the last three columns of every solver versus rate-model table
+_COMPARISON = ("lindblad_fidelity", "rate_fidelity", "abs_difference")
 
-def default_config(kind: str) -> dict:
-    """Fully-populated default configuration for a scenario kind."""
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; see list-scenarios")
-    cfg: dict = {"kind": kind, "seed": 0, "resonator_dim": 2}
-    if kind == "time_domain":
-        cfg.update(
-            family="psi",
-            drives=dict(FAMILY_DRIVES["psi"]),
-            noise=dict(MEASURED_NOISE),
-            grid={"t_max_us": 60.0, "dt_us": 0.25},
-        )
-    elif kind == "theta_spectroscopy":
-        # drive strengths follow the manifold sweeps; the measured-device
-        # rates are too slow near the dead angle to resolve the full shape
-        cfg.update(
-            family="phi",
-            swap_colors=False,
-            drives=dict(MANIFOLD_DRIVES, delta_mhz=0.0),
-            noise=dict(MEASURED_NOISE, tphi_us=None),
-            grid=dict(_THETA_GRID_DEFAULT),
-        )
-    elif kind == "parity_switch":
-        cfg.update(
-            noise=dict(MEASURED_NOISE),
-            segments=[
-                {"parity": "even", "duration_us": 20.0},
-                {"parity": "odd", "duration_us": 20.0},
-                {"parity": "even", "duration_us": 20.0},
-                {"parity": "odd", "duration_us": 25.0},
-            ],
-            drives={"even": dict(FAMILY_DRIVES["psi"]), "odd": dict(FAMILY_DRIVES["phi"])},
-            grid={"dt_us": 0.1},
-            fit_window_us=12.0,
-        )
-    elif kind == "tphi_sweep":
-        cfg.update(
-            families=["psi", "phi"],
-            drives={k: dict(v) for k, v in ROBUSTNESS_DRIVES.items()},
-            noise=dict(ROBUSTNESS_NOISE),
-            w_convention="as_listed",
-            grid={"tphi_us": [2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0]},
-        )
-    elif kind == "kappa_sweep":
-        cfg.update(
-            families=["psi", "phi"],
-            drives={k: dict(v) for k, v in FAMILY_DRIVES.items()},
-            noise=dict(ROBUSTNESS_NOISE),
-            grid={"kappa_over_w": [0.25, 0.5, 1.0, 2.0, 4.0]},
-        )
-    elif kind == "omega_kappa_map":
-        cfg.update(
-            family="psi",
-            noise={
-                "kappa1_mhz": 0.30,
-                "kappa2_mhz": 0.33,
-                "t1_us": [30.0, 30.0],
-                "tphi_us": None,
-            },
-            grid={
-                "omega_mhz": [round(0.5 * k, 6) for k in range(1, 22)],
-                "kappa_mhz": [round(0.2 + 0.1 * k, 6) for k in range(21)],
-            },
-        )
-    elif kind == "dressed_parity_sweep":
-        cfg.update(
-            branches=["blue", "red"],
-            drives=dict(MANIFOLD_DRIVES),
-            noise=dict(MANIFOLD_NOISE),
-            grid={"a1_over_omega": [round(0.1 * k, 6) for k in range(21)]},
-        )
-    elif kind == "rabi_dressed_map":
-        cfg.update(
-            drives=dict(MANIFOLD_DRIVES),
-            noise=dict(MANIFOLD_NOISE),
-            grid={
-                "delta_over_omega": [round(0.05 * k, 6) for k in range(21)],
-                "a1_over_omega": [round(0.05 * k, 6) for k in range(21)],
-            },
-        )
-    elif kind == "rate_model_compare":
-        cfg.update(
-            family="psi",
-            drives=dict(FAMILY_DRIVES["psi"]),
-            noise=dict(MEASURED_NOISE, tphi_us=None),
-            grid=dict(_THETA_GRID_DEFAULT, step_deg=10.0),
-        )
-    return cfg
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number(test: Callable, what: str) -> tuple:
+    return (lambda v: _is_number(v) and test(v), "a finite number" + what)
+
+
+def _one_of(*allowed) -> tuple:
+    return (lambda v: v in allowed, f"one of {allowed}")
+
+
+# field name -> (test, description) for every value in drives, grids, segments
+# and the string fields: rates and times must be positive, ratio grids
+# non-negative (0 is in their defaults), detunings and angles finite
+_FIELD_RULES = {
+    **dict.fromkeys(("omega_mhz", "w1_mhz", "w2_mhz", "tphi_us", "kappa_mhz", "kappa_over_w",
+                     "t_max_us", "dt_us", "duration_us", "fit_window_us", "step_deg"),
+                    _number(lambda v: v > 0, " > 0")),
+    **dict.fromkeys(("a1_over_omega", "delta_over_omega"), _number(lambda v: v >= 0, " >= 0")),
+    **dict.fromkeys(("start_deg", "stop_deg"), _number(lambda v: 0 < v < 180, " in (0, 180)")),
+    "delta_mhz": _number(lambda v: True, ""),
+    **dict.fromkeys(("family", "families"), _one_of("psi", "phi")),
+    "branches": _one_of("blue", "red"),
+    "w_convention": _one_of("as_listed", "double_listed"),
+    "parity": _one_of("even", "odd"),
+}
 
 
 def _require(condition: bool, message: str):
@@ -229,9 +150,14 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
         _require(key in base, f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), f"{path + key!r} must be an object")
             out[key] = _merge(base[key], value, path + key + ".")
         else:
+            # noise entries may be a number or a pair; elsewhere lists stay lists
+            listed = isinstance(base[key], list)
+            _require(path == "noise." or isinstance(value, list) == listed,
+                     f"{path + key!r} must {'' if listed else 'not '}be a list")
             out[key] = value
     return out
 
@@ -246,50 +172,48 @@ def _as_pair(value, name: str) -> tuple:
     return (float(value[0]), float(value[1]))
 
 
+def _check_fields(node, field: Optional[str] = None, path: str = ""):
+    """Apply ``_FIELD_RULES`` below `node` and reject empty lists (noise
+    aside: :class:`NoiseSpec` checks it)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key != "noise":
+                _check_fields(value, key, f"{path}{key}.")
+    elif isinstance(node, list):
+        _require(len(node) > 0, f"{path[:-1]} must not be empty")
+        for i, value in enumerate(node):
+            _check_fields(value, field, f"{path[:-1]}[{i}].")
+    elif field in _FIELD_RULES:
+        ok, what = _FIELD_RULES[field]
+        _require(ok(node), f"{path[:-1]} must be {what}, got {node!r}")
+
+
+def default_config(kind: str) -> dict:
+    """Fully-populated default configuration for a scenario kind."""
+    if kind not in SCENARIO_KINDS:
+        raise ConfigError(f"unknown scenario kind {kind!r}; see list-scenarios")
+    # a deep copy, so callers never share the module's default constants
+    return {"kind": kind, "seed": 0, "resonator_dim": 2, **copy.deepcopy(KINDS[kind].defaults)}
+
+
 def validate_config(raw: dict) -> dict:
     """Merge a raw config over the kind defaults and check the schema."""
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require("kind" in raw, "config needs a 'kind' field")
-    kind = raw["kind"]
-    cfg = _merge(default_config(kind), raw)
-    _require(int(cfg["resonator_dim"]) >= 2, "resonator_dim must be at least 2")
-    cfg["resonator_dim"] = int(cfg["resonator_dim"])
+    cfg = _merge(default_config(raw["kind"]), raw)
+    dim = cfg["resonator_dim"]
+    _require(_is_number(dim) and dim == int(dim) and dim >= 2,
+             f"resonator_dim must be a whole number of at least 2, got {dim!r}")
+    cfg["resonator_dim"] = int(dim)
     cfg["seed"] = int(cfg["seed"])
-
-    noise_fields = cfg.get("noise")
-    if noise_fields is not None:
-        _noise_from_config(noise_fields)  # raises on bad values
-
-    grid = cfg.get("grid", {})
-    for key, value in grid.items():
-        if isinstance(value, list):
-            _require(len(value) > 0, f"grid.{key} must not be empty")
-    if kind in ("time_domain",):
-        _require(cfg["family"] in ("psi", "phi"), "family must be 'psi' or 'phi'")
-        if "family" in raw and "drives" not in raw:
-            cfg["drives"] = dict(FAMILY_DRIVES[cfg["family"]])
-        _require(grid["t_max_us"] > 0 and grid["dt_us"] > 0, "time grid must be positive")
-    elif kind == "theta_spectroscopy":
-        _require(cfg["family"] in ("psi", "phi"), "family must be 'psi' or 'phi'")
-        _require(grid["step_deg"] > 0, "theta step must be positive")
-        _require(
-            0.0 < grid["start_deg"] <= grid["stop_deg"] < 180.0,
-            "theta grid must lie strictly inside (0, 180) degrees",
-        )
-    elif kind == "parity_switch":
-        _require(len(cfg["segments"]) > 0, "need at least one segment")
-        for seg in cfg["segments"]:
-            _require(seg.get("parity") in ("even", "odd"), "segment parity must be even|odd")
-            _require(seg.get("duration_us", 0) > 0, "segment duration must be positive")
-        _require(grid["dt_us"] > 0, "grid.dt_us must be positive")
-    elif kind in ("tphi_sweep", "kappa_sweep"):
-        for fam in cfg["families"]:
-            _require(fam in ("psi", "phi"), "families entries must be 'psi' or 'phi'")
-    elif kind == "omega_kappa_map":
-        _require(cfg["family"] in ("psi", "phi"), "family must be 'psi' or 'phi'")
-    elif kind == "dressed_parity_sweep":
-        for branch in cfg["branches"]:
-            _require(branch in ("blue", "red"), "branches entries must be 'blue' or 'red'")
+    try:
+        _noise_from_config(cfg["noise"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+    _check_fields(cfg)
+    check = KINDS[cfg["kind"]].check
+    if check is not None:
+        check(cfg, raw)
     return cfg
 
 
@@ -297,28 +221,12 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
-def _layout(cfg: dict) -> SpaceLayout:
-    dim = cfg["resonator_dim"]
-    return SpaceLayout((("q1", 2), ("q2", 2), ("r1", dim), ("r2", dim)))
-
-
 def _noise_from_config(noise: dict) -> NoiseSpec:
-    for key in noise:
-        _require(
-            key in ("kappa1_mhz", "kappa2_mhz", "t1_us", "tphi_us"),
-            f"unknown noise key {key!r}",
-        )
     t1 = _as_pair(noise["t1_us"], "noise.t1_us")
     tphi_raw = noise.get("tphi_us")
     tphi = (math.inf, math.inf) if tphi_raw is None else _as_pair(tphi_raw, "noise.tphi_us")
-    return NoiseSpec(
-        kappa1=TWO_PI * float(noise["kappa1_mhz"]),
-        kappa2=TWO_PI * float(noise["kappa2_mhz"]),
-        t1_q1=t1[0],
-        t1_q2=t1[1],
-        tphi_q1=tphi[0],
-        tphi_q2=tphi[1],
-    )
+    return NoiseSpec(TWO_PI * float(noise["kappa1_mhz"]), TWO_PI * float(noise["kappa2_mhz"]),
+                     t1_q1=t1[0], t1_q2=t1[1], tphi_q1=tphi[0], tphi_q2=tphi[1])
 
 
 def _drives_rad(drives: dict) -> dict:
@@ -328,6 +236,15 @@ def _drives_rad(drives: dict) -> dict:
         "w2": TWO_PI * float(drives["w2_mhz"]),
         "delta": TWO_PI * float(drives.get("delta_mhz", 0.0)),
     }
+
+
+def _family_drives(cfg: dict, family: str) -> dict:
+    """One family's listed drives, with W doubled under ``double_listed``."""
+    drives = dict(cfg["drives"][family])
+    if cfg.get("w_convention") == "double_listed":
+        drives["w1_mhz"] = 2.0 * drives["w1_mhz"]
+        drives["w2_mhz"] = 2.0 * drives["w2_mhz"]
+    return drives
 
 
 def _bell_problem(family: str, drives: dict, noise: NoiseSpec, layout: SpaceLayout):
@@ -343,61 +260,32 @@ def _ground_state(layout: SpaceLayout) -> DensityMatrix:
     return DensityMatrix.from_ket(layout, layout.basis_state([0] * len(layout.subsystems)))
 
 
-def theta_point(
-    family: str,
-    theta: float,
-    omega: float,
-    w1: float,
-    w2: float,
-    noise: NoiseSpec,
-    layout: SpaceLayout,
-    swap_colors: bool = False,
-):
-    """Steady state of one blending-angle point; returns (state, target, delta)."""
-    delta = delta_for_blending_angle(omega, theta)
-    if family == "psi":
-        qq_color = "blue"
-        colors = ("red", "red") if swap_colors else ("blue", "blue")
-        target = psi_theta(theta)
-    else:
-        qq_color = "red"
-        colors = ("red", "blue") if swap_colors else ("blue", "red")
-        target = phi_theta(theta)
-    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, omega, delta)))
-    plan = plan_stabilization(hqq, w1, w2, colors)
-    problem = build_lindblad(build_from_plan(plan, layout), noise)
-    return steady_state(problem), target, delta
+# blending family -> (qubit-qubit color, qubit-resonator colors, swapped colors, target)
+_BLENDING = {
+    "psi": ("blue", ("blue", "blue"), ("red", "red"), psi_theta),
+    "phi": ("red", ("blue", "red"), ("red", "blue"), phi_theta),
+}
 
 
 def _qubit_state(state: DensityMatrix) -> np.ndarray:
     return partial_trace(state, {"q1", "q2"}).entries
 
 
-# ---------------------------------------------------------------------------
-# job enumeration and execution
+def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, layout: SpaceLayout):
+    """Reduced two-qubit steady state of a planned stabilization of `hqq`."""
+    plan = plan_stabilization(hqq, d["w1"], d["w2"], colors)
+    return _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise)))
 
 
-def _enumerate_jobs(cfg: dict) -> list:
-    kind = cfg["kind"]
-    if kind in ("time_domain", "parity_switch"):
-        return [None]
-    grid = cfg["grid"]
-    if kind == "theta_spectroscopy":
-        thetas = _theta_values(grid)
-        return [("point", t) for t in thetas]
-    if kind == "tphi_sweep":
-        return [(fam, tphi) for fam in cfg["families"] for tphi in grid["tphi_us"]]
-    if kind == "kappa_sweep":
-        return [(fam, r) for fam in cfg["families"] for r in grid["kappa_over_w"]]
-    if kind == "omega_kappa_map":
-        return [(om, kap) for om in grid["omega_mhz"] for kap in grid["kappa_mhz"]]
-    if kind == "dressed_parity_sweep":
-        return [(b, a) for b in cfg["branches"] for a in grid["a1_over_omega"]]
-    if kind == "rabi_dressed_map":
-        return [(d, a) for d in grid["delta_over_omega"] for a in grid["a1_over_omega"]]
-    if kind == "rate_model_compare":
-        return [("point", t) for t in _theta_values(grid)]
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+def _theta_steady(cfg: dict, theta_deg: float, layout: SpaceLayout, noise: NoiseSpec):
+    """One blending-angle point: (reduced steady state, target, delta)."""
+    d = _drives_rad(cfg["drives"])
+    theta = math.radians(theta_deg)
+    delta = delta_for_blending_angle(d["omega"], theta)
+    qq_color, colors, swapped, target = _BLENDING[cfg["family"]]
+    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, d["omega"], delta)))
+    rq = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors, noise, layout)
+    return rq, target(theta), delta
 
 
 def _theta_values(grid: dict) -> list:
@@ -406,140 +294,57 @@ def _theta_values(grid: dict) -> list:
     return [round(start + k * step, 9) for k in range(n) if start + k * step <= stop + 1e-9]
 
 
-def _run_job(cfg: dict, job) -> list:
-    kind = cfg["kind"]
-    layout = _layout(cfg)
-    noise = _noise_from_config(cfg["noise"])
-    if kind == "time_domain":
-        problem, target = _bell_problem(cfg["family"], cfg["drives"], noise, layout)
-        grid = np.arange(
-            0.0, cfg["grid"]["t_max_us"] + 1e-9 * cfg["grid"]["dt_us"], cfg["grid"]["dt_us"]
-        )
-        traj = evolve(problem, _ground_state(layout), grid, target=target)
-        return [
-            (float(t), float(f), float(p), float(par))
-            for t, f, p, par in zip(traj.times, traj.fidelity, traj.purity, traj.parity)
-        ]
-    if kind == "parity_switch":
-        return _parity_switch_rows(cfg, layout, noise)
-    if kind == "theta_spectroscopy":
-        theta = math.radians(job[1])
-        d = _drives_rad(cfg["drives"])
-        state, target, delta = theta_point(
-            cfg["family"], theta, d["omega"], d["w1"], d["w2"], noise, layout,
-            swap_colors=cfg["swap_colors"],
-        )
-        rq = _qubit_state(state)
-        return [
-            (job[1], delta / TWO_PI, fidelity(rq, target), purity(rq), parity_signature(rq))
-        ]
-    if kind == "tphi_sweep":
-        family, tphi = job
-        drives = dict(cfg["drives"][family])
-        if cfg["w_convention"] == "double_listed":
-            drives["w1_mhz"] = 2.0 * drives["w1_mhz"]
-            drives["w2_mhz"] = 2.0 * drives["w2_mhz"]
-        noise_cfg = dict(cfg["noise"], tphi_us=tphi)
-        problem, target = _bell_problem(family, drives, _noise_from_config(noise_cfg), layout)
-        rq = _qubit_state(steady_state(problem))
-        return [(family, float(tphi), fidelity(rq, target), purity(rq))]
-    if kind == "kappa_sweep":
-        family, ratio = job
-        drives = cfg["drives"][family]
-        w_mhz = float(drives["w1_mhz"])
-        kappa_mhz = ratio * w_mhz
-        noise_cfg = dict(cfg["noise"], kappa1_mhz=kappa_mhz, kappa2_mhz=kappa_mhz)
-        problem, target = _bell_problem(family, drives, _noise_from_config(noise_cfg), layout)
-        rq = _qubit_state(steady_state(problem))
-        return [(family, float(ratio), kappa_mhz, fidelity(rq, target), purity(rq))]
-    if kind == "omega_kappa_map":
-        om_mhz, kappa_mhz = job
-        drives = {"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz}
-        noise_cfg = dict(cfg["noise"], kappa1_mhz=kappa_mhz, kappa2_mhz=kappa_mhz)
-        problem, target = _bell_problem(
-            cfg["family"], drives, _noise_from_config(noise_cfg), layout
-        )
-        rq = _qubit_state(steady_state(problem))
-        f = fidelity(rq, target)
-        return [(float(om_mhz), float(kappa_mhz), f, 1.0 - f)]
-    if kind == "dressed_parity_sweep":
-        branch, a_over_om = job
-        d = _drives_rad(cfg["drives"])
-        a1 = a_over_om * d["omega"]
-        theta1 = dressing_angle(d["omega"], a1, branch)
-        target = dressed_parity_state(theta1)
-        hqq = build_qubit_block(
-            DriveSet(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
-        )
-        colors = ("blue", "blue") if branch == "blue" else ("red", "blue")
-        plan = plan_stabilization(hqq, d["w1"], d["w2"], colors)
-        rq = _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise)))
-        return [
-            (branch, float(a_over_om), math.degrees(theta1), fidelity(rq, target), purity(rq))
-        ]
-    if kind == "rabi_dressed_map":
-        d_over_om, a_over_om = job
-        d = _drives_rad(cfg["drives"])
-        delta, a1 = d_over_om * d["omega"], a_over_om * d["omega"]
-        _, target = rabi_dressed_state(delta, a1, d["omega"])
-        hqq = build_qubit_block(
-            DriveSet(qq=SidebandDrive("blue", d["omega"], delta), rabi_q1=RabiDrive(a1, 0.0)),
-            detuning_convention="split",
-        )
-        plan = plan_stabilization(hqq, d["w1"], d["w2"], ("blue", "blue"))
-        rq = _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise)))
-        return [(float(d_over_om), float(a_over_om), fidelity(rq, target), purity(rq))]
-    if kind == "rate_model_compare":
-        theta = math.radians(job[1])
-        d = _drives_rad(cfg["drives"])
-        state, target, _ = theta_point(
-            cfg["family"], theta, d["omega"], d["w1"], d["w2"], noise, layout
-        )
-        f_lindblad = fidelity(_qubit_state(state), target)
-        f_rate = _rate_model_fidelity(cfg, theta)
-        return [(job[1], f_lindblad, f_rate, abs(f_lindblad - f_rate))]
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+# ---------------------------------------------------------------------------
+# per-kind job lists, point functions and hooks
 
 
-def _rate_model_fidelity(cfg: dict, theta: float, kappa_mhz: Optional[float] = None) -> float:
-    """Analytic steady-state fidelity with scalar (mean) rates."""
-    d = _drives_rad(cfg["drives"])
-    w = (d["w1"] + d["w2"]) / 2.0
-    noise = _noise_from_config(cfg["noise"])
-    kappa = (
-        TWO_PI * kappa_mhz if kappa_mhz is not None else (noise.kappa1 + noise.kappa2) / 2.0
-    )
-    gamma = (1.0 / noise.t1_q1 + 1.0 / noise.t1_q2) / 2.0
-    color = "blue" if cfg.get("family", "psi") == "psi" else _phi_formula_color(cfg)
-    gamma_t = refilling_rate(w, kappa, theta, color)
-    return steady_fidelity(gamma_t, gamma, theta, color)
+def _single_job(cfg: dict) -> list:
+    return [None]
 
 
-def _phi_formula_color(cfg: dict) -> str:
-    # default odd-family colors refill through the cos^2 branch like the
-    # pair-pumping scheme; the swapped combination behaves like exchange
-    return "red" if cfg.get("swap_colors") else "blue"
+def _theta_jobs(cfg: dict) -> list:
+    return [("point", t) for t in _theta_values(cfg["grid"])]
 
 
-def _parity_switch_rows(cfg: dict, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _check_theta_grid(cfg: dict, raw: dict):
+    # with the field rules: step > 0 and 0 < start <= stop < 180
+    _require(cfg["grid"]["start_deg"] <= cfg["grid"]["stop_deg"], "theta grid needs start <= stop")
+
+
+def _pull_family_drives(cfg: dict, raw: dict):
+    if "family" in raw and "drives" not in raw:
+        cfg["drives"] = dict(FAMILY_DRIVES[cfg["family"]])
+
+
+def _check_segments(cfg: dict, raw: dict):
+    for seg in cfg["segments"]:
+        _require(isinstance(seg, dict) and {"parity", "duration_us"} <= seg.keys(),
+                 "every segment needs a parity and a duration_us")
+
+
+def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    problem, target = _bell_problem(cfg["family"], cfg["drives"], noise, layout)
+    dt = cfg["grid"]["dt_us"]
+    grid = np.arange(0.0, cfg["grid"]["t_max_us"] + 1e-9 * dt, dt)
+    traj = evolve(problem, _ground_state(layout), grid, target=target)
+    return [(float(t), float(f), float(p), float(par))
+            for t, f, p, par in zip(traj.times, traj.fidelity, traj.purity, traj.parity)]
+
+
+# segment parity -> (qubit-qubit color, qubit-resonator colors, dynamics builder name)
+_SEGMENT_RECIPES = {
+    "even": ("blue", ("blue", "blue"), "even_parity"),
+    "odd": ("red", ("red", "blue"), "odd_parity"),
+}
+
+
+def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
     segments = []
     for seg in cfg["segments"]:
-        drives_cfg = cfg["drives"][seg["parity"]]
-        d = _drives_rad(drives_cfg)
-        if seg["parity"] == "even":
-            drives = DriveSet(
-                qq=SidebandDrive("blue", d["omega"], d["delta"]),
-                qr1=SidebandDrive("blue", d["w1"], 0.0),
-                qr2=SidebandDrive("blue", d["w2"], 0.0),
-            )
-            builder = "even_parity"
-        else:
-            drives = DriveSet(
-                qq=SidebandDrive("red", d["omega"], d["delta"]),
-                qr1=SidebandDrive("red", d["w1"], 0.0),
-                qr2=SidebandDrive("blue", d["w2"], 0.0),
-            )
-            builder = "odd_parity"
+        d = _drives_rad(cfg["drives"][seg["parity"]])
+        qq_color, (c1, c2), builder = _SEGMENT_RECIPES[seg["parity"]]
+        drives = DriveSet(qq=SidebandDrive(qq_color, d["omega"], d["delta"]),
+                          qr1=SidebandDrive(c1, d["w1"], 0.0), qr2=SidebandDrive(c2, d["w2"], 0.0))
         segments.append(ScheduleSegment(seg["duration_us"], drives, builder))
     schedule = DriveSchedule(tuple(segments), _ground_state(layout), noise)
     dt = cfg["grid"]["dt_us"]
@@ -549,10 +354,280 @@ def _parity_switch_rows(cfg: dict, layout: SpaceLayout, noise: NoiseSpec) -> lis
     rows = []
     for t, state in zip(traj.times, traj.states):
         rq = _qubit_state(state)
-        rows.append(
-            (float(t), parity_signature(rq), fidelity(rq, psi_m), fidelity(rq, phi_m))
-        )
+        rows.append((float(t), parity_signature(rq), fidelity(rq, psi_m), fidelity(rq, phi_m)))
     return rows
+
+
+def _fit_switches(cfg: dict, named: dict) -> dict:
+    times = np.asarray(named["t_us"])
+    parity = np.asarray(named["parity"])
+    window = cfg["fit_window_us"]
+    fits = []
+    t_switch = 0.0
+    for seg in cfg["segments"][:-1]:
+        t_switch += seg["duration_us"]
+        mask = (times >= t_switch) & (times <= t_switch + window)
+        if mask.sum() < 5:
+            continue
+        fit = fit_time_constant(times[mask], parity[mask])
+        next_parity = "even" if parity[mask][-1] > 0 else "odd"
+        fits.append({"switch_t_us": t_switch, "to_parity": next_parity,
+                     "tau_us": fit.tau, "residual": fit.residual})
+    return {"switch_fits": fits}
+
+
+def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    rq, target, delta = _theta_steady(cfg, job[1], layout, noise)
+    return [(job[1], delta / TWO_PI, fidelity(rq, target), purity(rq), parity_signature(rq))]
+
+
+def _bell_steady(cfg: dict, family: str, drives: dict, layout: SpaceLayout, **noise_override):
+    """Reduced steady state and target of a Bell recipe under config noise overrides."""
+    noise = _noise_from_config(dict(cfg["noise"], **noise_override))
+    problem, target = _bell_problem(family, drives, noise, layout)
+    return _qubit_state(steady_state(problem)), target
+
+
+def _tphi_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    family, tphi = job
+    rq, target = _bell_steady(cfg, family, _family_drives(cfg, family), layout, tphi_us=tphi)
+    return [(family, float(tphi), fidelity(rq, target), purity(rq))]
+
+
+def _kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    family, ratio = job
+    drives = _family_drives(cfg, family)
+    kappa_mhz = ratio * float(drives["w1_mhz"])
+    rq, target = _bell_steady(cfg, family, drives, layout, kappa1_mhz=kappa_mhz,
+                              kappa2_mhz=kappa_mhz)
+    return [(family, float(ratio), kappa_mhz, fidelity(rq, target), purity(rq))]
+
+
+def _kappa_peaks(cfg: dict, named: dict) -> dict:
+    points = list(zip(named["family"], named["kappa_over_w"], named["fidelity"]))
+    peak = {}
+    for fam in cfg["families"]:
+        best = max((p for p in points if p[0] == fam), key=lambda p: p[2], default=None)
+        if best is not None:
+            peak[fam] = {"kappa_over_w": best[1], "fidelity": best[2]}
+    return {"peak": peak}
+
+
+def _omega_kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    om_mhz, kappa_mhz = job
+    drives = {"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz}
+    rq, target = _bell_steady(cfg, cfg["family"], drives, layout, kappa1_mhz=kappa_mhz,
+                              kappa2_mhz=kappa_mhz)
+    f = fidelity(rq, target)
+    return [(float(om_mhz), float(kappa_mhz), f, 1.0 - f)]
+
+
+def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    branch, a_over_om = job
+    d = _drives_rad(cfg["drives"])
+    a1 = a_over_om * d["omega"]
+    theta1 = dressing_angle(d["omega"], a1, branch)
+    target = dressed_parity_state(theta1)
+    hqq = build_qubit_block(
+        DriveSet(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
+    )
+    colors = ("blue", "blue") if branch == "blue" else ("red", "blue")
+    rq = _planned_qubit_state(hqq, d, colors, noise, layout)
+    return [(branch, float(a_over_om), math.degrees(theta1), fidelity(rq, target), purity(rq))]
+
+
+def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    d_over_om, a_over_om = job
+    d = _drives_rad(cfg["drives"])
+    delta, a1 = d_over_om * d["omega"], a_over_om * d["omega"]
+    _, target = rabi_dressed_state(delta, a1, d["omega"])
+    hqq = build_qubit_block(
+        DriveSet(qq=SidebandDrive("blue", d["omega"], delta), rabi_q1=RabiDrive(a1, 0.0)),
+        detuning_convention="split",
+    )
+    rq = _planned_qubit_state(hqq, d, ("blue", "blue"), noise, layout)
+    return [(float(d_over_om), float(a_over_om), fidelity(rq, target), purity(rq))]
+
+
+def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+    rq, target, _ = _theta_steady(cfg, job[1], layout, noise)
+    f_lindblad = fidelity(rq, target)
+    f_rate = _rate_model_fidelity(cfg, cfg["drives"], cfg["family"], math.radians(job[1]))
+    return [(job[1], f_lindblad, f_rate, abs(f_lindblad - f_rate))]
+
+
+def _rate_model_fidelity(
+    cfg: dict, drives: dict, family: str, theta: float, kappa_mhz: Optional[float] = None
+) -> float:
+    """Analytic steady-state fidelity with scalar (mean) rates."""
+    d = _drives_rad(drives)
+    w = (d["w1"] + d["w2"]) / 2.0
+    noise = _noise_from_config(cfg["noise"])
+    kappa = (
+        TWO_PI * kappa_mhz if kappa_mhz is not None else (noise.kappa1 + noise.kappa2) / 2.0
+    )
+    gamma = (1.0 / noise.t1_q1 + 1.0 / noise.t1_q2) / 2.0
+    # default odd-family colors refill through the cos^2 branch like the
+    # pair-pumping scheme; the swapped combination behaves like exchange
+    swapped = family != "psi" and cfg.get("swap_colors")
+    color = "red" if swapped else "blue"
+    gamma_t = refilling_rate(w, kappa, theta, color)
+    return steady_fidelity(gamma_t, gamma, theta, color)
+
+
+def _theta_analytic(cfg: dict, row) -> tuple:
+    theta_deg, _, f, _, _ = row
+    f_rate = _rate_model_fidelity(cfg, cfg["drives"], cfg["family"], math.radians(theta_deg))
+    return f"theta={theta_deg:g}deg", f, f_rate
+
+
+def _tphi_analytic(cfg: dict, row) -> tuple:
+    family, tphi, f, _ = row
+    f_rate = _rate_model_fidelity(cfg, _family_drives(cfg, family), family, math.pi / 2.0)
+    return f"{family}:tphi={tphi:g}us", f, f_rate
+
+
+def _kappa_analytic(cfg: dict, row) -> tuple:
+    family, ratio, kappa_mhz, f, _ = row
+    drives = _family_drives(cfg, family)
+    f_rate = _rate_model_fidelity(cfg, drives, family, math.pi / 2.0, kappa_mhz)
+    return f"{family}:kappa/W={ratio:g}", f, f_rate
+
+
+def _omega_kappa_analytic(cfg: dict, row) -> tuple:
+    om, kap, f, _ = row
+    drives = {"omega_mhz": om, "w1_mhz": kap, "w2_mhz": kap}
+    f_rate = _rate_model_fidelity(cfg, drives, cfg["family"], math.pi / 2.0, kap)
+    return f"omega={om:g},kappa={kap:g}", f, f_rate
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything the runner knows about one scenario kind.
+
+    `point(cfg, job, layout, noise)` returns the rows of one job from
+    `jobs(cfg)`.  Optional hooks: `check(cfg, raw)` validates (and may
+    fill in) kind-specific fields, `summary(cfg, named_columns)` adds
+    summary entries, `analytic(cfg, row)` gives the (label, solver
+    fidelity, rate-model fidelity) of one row for :func:`compare_analytic`.
+    """
+
+    mirrors: str
+    defaults: dict
+    columns: tuple
+    jobs: Callable
+    point: Callable
+    check: Optional[Callable] = None
+    summary: Optional[Callable] = None
+    analytic: Optional[Callable] = None
+
+
+KINDS = {
+    "time_domain": KindSpec(
+        mirrors="Bell-state stabilization fidelity versus time from the ground state",
+        defaults={"family": "psi", "drives": FAMILY_DRIVES["psi"], "noise": MEASURED_NOISE,
+                  "grid": {"t_max_us": 60.0, "dt_us": 0.25}},
+        columns=("t_us", "fidelity", "purity", "parity"),
+        jobs=_single_job, point=_time_domain_point, check=_pull_family_drives,
+        summary=lambda cfg, named: {"final_fidelity": named["fidelity"][-1]},
+    ),
+    "theta_spectroscopy": KindSpec(
+        mirrors="steady-state fidelity across the blending-angle family",
+        # drive strengths follow the manifold sweeps; the measured-device
+        # rates are too slow near the dead angle to resolve the full shape
+        defaults={"family": "phi", "swap_colors": False,
+                  "drives": dict(MANIFOLD_DRIVES, delta_mhz=0.0),
+                  "noise": dict(MEASURED_NOISE, tphi_us=None), "grid": _THETA_GRID_DEFAULT},
+        columns=("theta_deg", "delta_mhz", "fidelity", "purity", "parity"),
+        jobs=_theta_jobs, point=_theta_spectroscopy_point, check=_check_theta_grid,
+        analytic=_theta_analytic,
+    ),
+    "parity_switch": KindSpec(
+        mirrors="dissipative switching of the stabilized Bell-state parity",
+        defaults={
+            "noise": MEASURED_NOISE,
+            "segments": [
+                {"parity": "even", "duration_us": 20.0},
+                {"parity": "odd", "duration_us": 20.0},
+                {"parity": "even", "duration_us": 20.0},
+                {"parity": "odd", "duration_us": 25.0},
+            ],
+            "drives": {"even": FAMILY_DRIVES["psi"], "odd": FAMILY_DRIVES["phi"]},
+            "grid": {"dt_us": 0.1},
+            "fit_window_us": 12.0,
+        },
+        columns=("t_us", "parity", "fidelity_even", "fidelity_odd"),
+        jobs=_single_job, point=_parity_switch_point, check=_check_segments,
+        summary=_fit_switches,
+    ),
+    "tphi_sweep": KindSpec(
+        mirrors="steady-state fidelity versus qubit dephasing time",
+        defaults={"families": ["psi", "phi"], "drives": ROBUSTNESS_DRIVES,
+                  "noise": ROBUSTNESS_NOISE, "w_convention": "as_listed",
+                  "grid": {"tphi_us": [2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0]}},
+        columns=("family", "tphi_us", "fidelity", "purity"),
+        jobs=lambda cfg: [(f, t) for f in cfg["families"] for t in cfg["grid"]["tphi_us"]],
+        point=_tphi_point, analytic=_tphi_analytic,
+    ),
+    "kappa_sweep": KindSpec(
+        mirrors="steady-state fidelity versus resonator decay over sideband rate",
+        defaults={"families": ["psi", "phi"], "drives": FAMILY_DRIVES, "noise": ROBUSTNESS_NOISE,
+                  "grid": {"kappa_over_w": [0.25, 0.5, 1.0, 2.0, 4.0]}},
+        columns=("family", "kappa_over_w", "kappa_mhz", "fidelity", "purity"),
+        jobs=lambda cfg: [(f, r) for f in cfg["families"] for r in cfg["grid"]["kappa_over_w"]],
+        point=_kappa_point, summary=_kappa_peaks, analytic=_kappa_analytic,
+    ),
+    "omega_kappa_map": KindSpec(
+        mirrors="fidelity map over qubit-qubit rate and resonator decay at matched W",
+        defaults={"family": "psi", "noise": dict(MANIFOLD_NOISE, tphi_us=None),
+                  "grid": {"omega_mhz": [round(0.5 * k, 6) for k in range(1, 22)],
+                           "kappa_mhz": [round(0.2 + 0.1 * k, 6) for k in range(21)]}},
+        columns=("omega_mhz", "kappa_mhz", "fidelity", "infidelity"),
+        jobs=lambda cfg: [(om, kap) for om in cfg["grid"]["omega_mhz"]
+                          for kap in cfg["grid"]["kappa_mhz"]],
+        point=_omega_kappa_point, analytic=_omega_kappa_analytic,
+    ),
+    "dressed_parity_sweep": KindSpec(
+        mirrors="fidelity across the dressed-parity target family",
+        defaults={"branches": ["blue", "red"], "drives": MANIFOLD_DRIVES, "noise": MANIFOLD_NOISE,
+                  "grid": {"a1_over_omega": [round(0.1 * k, 6) for k in range(21)]}},
+        columns=("branch", "a1_over_omega", "theta1_deg", "fidelity", "purity"),
+        jobs=lambda cfg: [(b, a) for b in cfg["branches"] for a in cfg["grid"]["a1_over_omega"]],
+        point=_dressed_parity_point,
+    ),
+    "rabi_dressed_map": KindSpec(
+        mirrors="fidelity map over the two-parameter Rabi-dressed target family",
+        defaults={"drives": MANIFOLD_DRIVES, "noise": MANIFOLD_NOISE,
+                  "grid": {"delta_over_omega": [round(0.05 * k, 6) for k in range(21)],
+                           "a1_over_omega": [round(0.05 * k, 6) for k in range(21)]}},
+        columns=("delta_over_omega", "a1_over_omega", "fidelity", "purity"),
+        jobs=lambda cfg: [(d, a) for d in cfg["grid"]["delta_over_omega"]
+                          for a in cfg["grid"]["a1_over_omega"]],
+        point=_rabi_dressed_point,
+    ),
+    "rate_model_compare": KindSpec(
+        mirrors="solver steady-state fidelity against the analytic rate model",
+        defaults={"family": "psi", "drives": FAMILY_DRIVES["psi"],
+                  "noise": dict(MEASURED_NOISE, tphi_us=None),
+                  "grid": dict(_THETA_GRID_DEFAULT, step_deg=10.0)},
+        columns=("theta_deg",) + _COMPARISON,
+        jobs=_theta_jobs, point=_rate_model_point, check=_check_theta_grid,
+    ),
+}
+
+SCENARIO_INFO = {kind: spec.mirrors for kind, spec in KINDS.items()}
+
+SCENARIO_KINDS = tuple(KINDS)
+
+
+# ---------------------------------------------------------------------------
+# job enumeration and execution
+
+
+def _run_job(cfg: dict, job) -> list:
+    dim = cfg["resonator_dim"]
+    layout = SpaceLayout((("q1", 2), ("q2", 2), ("r1", dim), ("r2", dim)))
+    return KINDS[cfg["kind"]].point(cfg, job, layout, _noise_from_config(cfg["noise"]))
 
 
 @dataclass(frozen=True)
@@ -572,50 +647,17 @@ class SweepResult:
 
 
 def _summarize(cfg: dict, columns, rows) -> dict:
-    kind = cfg["kind"]
     summary: dict = {"row_count": len(rows)}
     if not rows:
         return summary
     named = {c: [r[i] for r in rows] for i, c in enumerate(columns)}
-    if kind == "parity_switch":
-        summary["switch_fits"] = _fit_switches(cfg, named)
-    if kind == "kappa_sweep":
-        argmax = {}
-        for fam in cfg["families"]:
-            pts = [(r, f) for fam_i, r, _, f, _ in rows if fam_i == fam]
-            best = max(pts, key=lambda p: p[1])
-            argmax[fam] = {"kappa_over_w": best[0], "fidelity": best[1]}
-        summary["peak"] = argmax
+    hook = KINDS[cfg["kind"]].summary
+    if hook is not None:
+        summary.update(hook(cfg, named))
     if "fidelity" in named:
         summary["max_fidelity"] = max(named["fidelity"])
         summary["min_fidelity"] = min(named["fidelity"])
-    if kind == "time_domain":
-        summary["final_fidelity"] = named["fidelity"][-1]
     return summary
-
-
-def _fit_switches(cfg: dict, named: dict) -> list:
-    times = np.asarray(named["t_us"])
-    parity = np.asarray(named["parity"])
-    window = cfg["fit_window_us"]
-    fits = []
-    t_switch = 0.0
-    for seg in cfg["segments"][:-1]:
-        t_switch += seg["duration_us"]
-        mask = (times >= t_switch) & (times <= t_switch + window)
-        if mask.sum() < 5:
-            continue
-        fit = fit_time_constant(times[mask], parity[mask])
-        next_parity = "even" if parity[mask][-1] > 0 else "odd"
-        fits.append(
-            {
-                "switch_t_us": t_switch,
-                "to_parity": next_parity,
-                "tau_us": fit.tau,
-                "residual": fit.residual,
-            }
-        )
-    return fits
 
 
 def _job_wrapper(args):
@@ -633,8 +675,8 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     independent of `workers` (rows merge by grid index).
     """
     cfg = validate_config(raw_config)
-    jobs = _enumerate_jobs(cfg)
-    payloads = [(cfg, i, job) for i, job in enumerate(jobs)]
+    spec = KINDS[cfg["kind"]]
+    payloads = [(cfg, i, job) for i, job in enumerate(spec.jobs(cfg))]
     if workers is not None and workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_job_wrapper, payloads))
@@ -648,21 +690,18 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
             failures.append((index, error))
         else:
             rows.extend(job_rows)
-    columns = _COLUMNS[cfg["kind"]]
-    summary = _summarize(cfg, columns, rows)
+    summary = _summarize(cfg, spec.columns, rows)
     metadata = {
         "artifact_version": __version__,
         "kind": cfg["kind"],
-        "mirrors": SCENARIO_INFO[cfg["kind"]],
+        "mirrors": spec.mirrors,
         "config": cfg,
         "config_sha256": config_hash(cfg),
         "seed": cfg["seed"],
         "row_count": len(rows),
         "failed_jobs": [{"index": i, "error": e} for i, e in failures],
     }
-    return SweepResult(
-        cfg["kind"], tuple(columns), tuple(rows), summary, metadata, tuple(failures)
-    )
+    return SweepResult(cfg["kind"], spec.columns, tuple(rows), summary, metadata, tuple(failures))
 
 
 def _fmt(value) -> str:
@@ -693,10 +732,6 @@ def write_result(result: SweepResult, outdir) -> dict:
     return {"result_csv": csv_path, "summary_json": summary_path}
 
 
-_COMPARE_KINDS = ("theta_spectroscopy", "kappa_sweep", "tphi_sweep", "omega_kappa_map",
-                  "rate_model_compare")
-
-
 def compare_analytic(result: SweepResult):
     """Tabulate solver steady-state fidelities against the rate model.
 
@@ -704,35 +739,14 @@ def compare_analytic(result: SweepResult):
     Only scenario kinds that produce steady-state fidelities over the
     blending family support the comparison.
     """
-    kind = result.kind
-    if kind not in _COMPARE_KINDS:
-        raise ConfigError(f"scenario kind {kind!r} has no analytic counterpart")
-    cfg = result.metadata["config"]
-    if kind == "rate_model_compare":
+    if result.columns[1:] == _COMPARISON:  # the run already is a comparison
         return result.columns, list(result.rows)
-    columns = ("label", "lindblad_fidelity", "rate_fidelity", "abs_difference")
+    analytic = KINDS[result.kind].analytic if result.kind in KINDS else None
+    if analytic is None:
+        raise ConfigError(f"scenario kind {result.kind!r} has no analytic counterpart")
+    cfg = result.metadata["config"]
     rows = []
-    if kind == "theta_spectroscopy":
-        for theta_deg, _, f, _, _ in result.rows:
-            f_rate = _rate_model_fidelity(cfg, math.radians(theta_deg))
-            rows.append((f"theta={theta_deg:g}deg", f, f_rate, abs(f - f_rate)))
-    elif kind == "kappa_sweep":
-        for family, ratio, kappa_mhz, f, _ in result.rows:
-            sub = dict(cfg, family=family, drives=cfg["drives"][family])
-            f_rate = _rate_model_fidelity(sub, math.pi / 2.0, kappa_mhz=kappa_mhz)
-            rows.append((f"{family}:kappa/W={ratio:g}", f, f_rate, abs(f - f_rate)))
-    elif kind == "tphi_sweep":
-        for family, tphi, f, _ in result.rows:
-            drives = dict(cfg["drives"][family])
-            if cfg["w_convention"] == "double_listed":
-                drives["w1_mhz"] *= 2.0
-                drives["w2_mhz"] *= 2.0
-            sub = dict(cfg, family=family, drives=drives)
-            f_rate = _rate_model_fidelity(sub, math.pi / 2.0)
-            rows.append((f"{family}:tphi={tphi:g}us", f, f_rate, abs(f - f_rate)))
-    elif kind == "omega_kappa_map":
-        for om, kap, f, _ in result.rows:
-            sub = dict(cfg, drives={"omega_mhz": om, "w1_mhz": kap, "w2_mhz": kap})
-            f_rate = _rate_model_fidelity(sub, math.pi / 2.0, kappa_mhz=kap)
-            rows.append((f"omega={om:g},kappa={kap:g}", f, f_rate, abs(f - f_rate)))
-    return columns, rows
+    for row in result.rows:
+        label, f, f_rate = analytic(cfg, row)
+        rows.append((label, f, f_rate, abs(f - f_rate)))
+    return ("label",) + _COMPARISON, rows

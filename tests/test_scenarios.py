@@ -60,6 +60,58 @@ class TestValidation:
                 {"kind": "time_domain", "noise": {"kappa1_mhz": -0.3}}
             )
 
+    @pytest.mark.parametrize("kind", ["theta_spectroscopy", "rate_model_compare"])
+    @pytest.mark.parametrize("grid", [
+        {"step_deg": 0.0},
+        {"step_deg": -10.0},
+        {"stop_deg": 180.0},
+    ])
+    def test_theta_grid_checked_for_both_theta_kinds(self, kind, grid):
+        cfg = {"kind": kind, "grid": grid}
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+        with pytest.raises(ConfigError):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("kind,override", [
+        ("time_domain", {"drives": {"omega_mhz": -1.0}}),
+        ("time_domain", {"drives": {"w1_mhz": 0.0}}),
+        ("time_domain", {"drives": {"delta_mhz": math.inf}}),
+        ("time_domain", {"grid": {"dt_us": math.inf}}),
+        ("time_domain", {"resonator_dim": 2.7}),
+        ("time_domain", {"resonator_dim": "2"}),
+        ("theta_spectroscopy", {"drives": {"omega_mhz": 0.0}}),
+        ("theta_spectroscopy", {"grid": {"start_deg": math.nan}}),
+        ("parity_switch", {"drives": {"even": {"omega_mhz": "2.0"}}}),
+        ("parity_switch", {"segments": [{"parity": "even", "duration_us": math.inf}]}),
+        ("parity_switch", {"fit_window_us": -1.0}),
+        ("tphi_sweep", {"grid": {"tphi_us": [10.0, math.nan]}}),
+        ("tphi_sweep", {"drives": {"phi": {"w2_mhz": -0.3}}}),
+        ("tphi_sweep", {"w_convention": "tripled"}),
+        ("kappa_sweep", {"grid": {"kappa_over_w": [0.0]}}),
+        ("kappa_sweep", {"grid": {"kappa_over_w": [-1.0]}}),
+        ("kappa_sweep", {"families": []}),
+        ("omega_kappa_map", {"grid": {"kappa_mhz": [0.0]}}),
+        ("omega_kappa_map", {"grid": {"omega_mhz": [True]}}),
+        ("dressed_parity_sweep", {"grid": {"a1_over_omega": [-0.1]}}),
+        ("dressed_parity_sweep", {"branches": "blue"}),
+        ("rabi_dressed_map", {"grid": {"delta_over_omega": [math.inf]}}),
+        ("rate_model_compare", {"family": "chi"}),
+        ("rate_model_compare", {"drives": {"delta_mhz": math.nan}}),
+        ("rate_model_compare", {"grid": {"start_deg": 100.0, "stop_deg": 50.0}}),
+        ("time_domain", {"grid": 5}),
+        ("kappa_sweep", {"families": "psi"}),
+        ("parity_switch", {"segments": [{"parity": "even"}]}),
+    ])
+    def test_bad_input_rejected(self, kind, override):
+        with pytest.raises(ConfigError):
+            validate_config(dict(override, kind=kind))
+
+    def test_zero_ratio_and_whole_float_dim_accepted(self):
+        cfg = validate_config({"kind": "rabi_dressed_map", "resonator_dim": 3.0,
+                               "grid": {"delta_over_omega": [0.0], "a1_over_omega": [0]}})
+        assert cfg["resonator_dim"] == 3 and isinstance(cfg["resonator_dim"], int)
+
 
 class TestMeasuredDefaults:
     def test_noise_matches_device_table(self):
@@ -180,6 +232,19 @@ class TestRunScenario:
         assert len(result.failures) == 1
         assert "synthetic point failure" in result.failures[0][1]
         assert len(result.rows) == 2
+
+    def test_family_without_rows_left_out_of_kappa_peaks(self, monkeypatch):
+        original = scenarios._run_job
+
+        def flaky(cfg, job):
+            if job[0] == "phi":
+                raise RuntimeError("synthetic family failure")
+            return original(cfg, job)
+
+        monkeypatch.setattr(scenarios, "_run_job", flaky)
+        result = run_scenario(dict(SMALL_KAPPA_SWEEP, families=["psi", "phi"]))
+        assert len(result.failures) == 3 and len(result.rows) == 3
+        assert set(result.summary["peak"]) == {"psi"}
 
 
 class TestDeterminism:
