@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .targets import TWO_QUBIT_LAYOUT, StabilizationTarget, _normalized
 
 COLORS = ("red", "blue")
 
+# plan tolerances relative to max|E|: E_A+E_D-E_B-E_C, and the least ground gap E_B-E_A
+MATCHING_TOL = 1e-6
+DEGENERATE_GAP_TOL = 1e-12
+
 # local 2x2 qubit ladder operators, basis (g, e)
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 _SIGMA_PLUS = _SIGMA_MINUS.conj().T
@@ -46,6 +50,13 @@ def _check_color(color: str):
         raise ValueError(f"unknown sideband color {color!r}; expected one of {COLORS}")
 
 
+def _check_rate_and_detuning(kind: str, rate: float, detuning: float):
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"{kind} rate must be finite and non-negative, got {rate}")
+    if not math.isfinite(detuning):
+        raise ValueError(f"{kind} detuning must be finite, got {detuning}")
+
+
 @dataclass(frozen=True)
 class SidebandDrive:
     """A two-body parametric drive: color, rate and frequency detuning."""
@@ -56,8 +67,7 @@ class SidebandDrive:
 
     def __post_init__(self):
         _check_color(self.color)
-        if self.rate < 0:
-            raise ValueError("sideband rate must be non-negative")
+        _check_rate_and_detuning("sideband", self.rate, self.detuning)
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,7 @@ class RabiDrive:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("Rabi rate must be non-negative")
+        _check_rate_and_detuning("Rabi", self.rate, self.detuning)
 
 
 @dataclass(frozen=True)
@@ -153,18 +162,35 @@ def assemble(
     return ComplexOperator(layout, h)
 
 
+class Recipe(NamedTuple):
+    """Qubit-qubit color, qubit-resonator colors, sign of the resonator detunings."""
+
+    qq: str
+    qr: tuple
+    sign: float = 1.0
+
+
+# the named drive recipes; at given rates each selects one stabilized state
+RECIPES = {
+    "even_parity": Recipe("blue", ("blue", "blue")),
+    "odd_parity": Recipe("red", ("red", "blue")),
+    "red_red": Recipe("blue", ("red", "red")),
+    "opposite_detuning": Recipe("blue", ("blue", "blue"), -1.0),
+}
+
+
 def _sideband_recipe(
-    qq_color: str, colors: tuple, omega: float, delta: float, w1: float, w2: float,
-    layout: Optional[SpaceLayout], sign: float = 1.0,
+    name: str, omega: float, delta: float, w1: float, w2: float, layout: Optional[SpaceLayout]
 ) -> ComplexOperator:
-    """A named builder's drive recipe: the qubit-qubit sideband at Omega with
-    detuning delta on q1, and resonator detunings sign*(Delta +- delta)/2."""
+    """A named recipe: the qubit-qubit sideband at Omega with detuning delta
+    on q1, and resonator detunings sign*(Delta +- delta)/2."""
+    qq_color, (c1, c2), sign = RECIPES[name]
     big_delta = math.hypot(omega, delta)
     hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, omega, delta)))
     return assemble(
         hqq,
-        SidebandDrive(colors[0], w1, sign * (big_delta + delta) / 2.0),
-        SidebandDrive(colors[1], w2, sign * (big_delta - delta) / 2.0),
+        SidebandDrive(c1, w1, sign * (big_delta + delta) / 2.0),
+        SidebandDrive(c2, w2, sign * (big_delta - delta) / 2.0),
         layout or SpaceLayout(),
     )
 
@@ -178,7 +204,7 @@ def build_even_parity_system(
         + (W1/2)(a_q1 a_r1 + h.c.) + (W2/2)(a_q2 a_r2 + h.c.)
         + ((Delta+delta)/2) n_r1 + ((Delta-delta)/2) n_r2
     """
-    return _sideband_recipe("blue", ("blue", "blue"), omega, delta, w1, w2, layout)
+    return _sideband_recipe("even_parity", omega, delta, w1, w2, layout)
 
 
 def build_odd_parity_system(
@@ -191,7 +217,7 @@ def build_odd_parity_system(
     on the second (rate W4); resonator detunings (Delta+delta)/2 and
     (Delta-delta)/2.
     """
-    return _sideband_recipe("red", ("red", "blue"), omega, delta, w3, w4, layout)
+    return _sideband_recipe("odd_parity", omega, delta, w3, w4, layout)
 
 
 VARIANTS = ("blue_blue", "red_red", "opposite_detuning")
@@ -215,21 +241,18 @@ def build_color_variant(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    colors = ("red", "red") if variant == "red_red" else ("blue", "blue")
-    sign = -1.0 if variant == "opposite_detuning" else 1.0
-    return _sideband_recipe("blue", colors, omega, delta, w1, w2, layout, sign)
+    # the one variant that is not a recipe name is the even-parity recipe itself
+    name = variant if variant in RECIPES else "even_parity"
+    return _sideband_recipe(name, omega, delta, w1, w2, layout)
 
 
-def build_qubit_block(drives: DriveSet, detuning_convention: str = "q1") -> ComplexOperator:
+def build_qubit_block(drives: DriveSet) -> ComplexOperator:
     """4x4 rotating-frame two-qubit Hamiltonian in the basis (gg, ge, eg, ee).
 
-    `detuning_convention` controls where the qubit-qubit sideband
-    detuning sits: "q1" puts it on the q1-excited states, "split"
-    distributes it as +-delta/2 across the diagonal (only defined for
-    the blue sideband, matching the Rabi-dressed family block).
+    The qubit-qubit sideband detuning sits on the q1-excited states; the
+    split-detuning block of the Rabi-dressed family is
+    :func:`stabsim.targets.rabi_dressed_block`.
     """
-    if detuning_convention not in ("q1", "split"):
-        raise ValueError(f"unknown detuning convention {detuning_convention!r}")
     h = np.zeros((4, 4), dtype=complex)
     # a Rabi drive flips one qubit; its detuning shifts the states where it is excited
     for rabi, pairs, excited in (
@@ -244,13 +267,7 @@ def build_qubit_block(drives: DriveSet, detuning_convention: str = "q1") -> Comp
         qq = drives.qq
         i, j = (0, 3) if qq.color == "blue" else (1, 2)
         h[i, j] = h[j, i] = h[i, j] + qq.rate / 2.0
-        if detuning_convention == "q1":
-            h[[2, 3], [2, 3]] += qq.detuning
-        else:
-            if qq.color != "blue":
-                raise ValueError("split detuning is only defined for the blue qubit-qubit sideband")
-            d = qq.detuning / 2.0
-            h += np.diag([-d, d, -d, d])
+        h[[2, 3], [2, 3]] += qq.detuning
     return ComplexOperator(TWO_QUBIT_LAYOUT, h)
 
 
@@ -291,7 +308,6 @@ def plan_stabilization(
     w1: float,
     w2: float,
     colors: tuple = ("blue", "blue"),
-    rel_tol: float = 1e-6,
 ) -> StabilizationPlan:
     """Derive resonator photon energies that put all refilling paths on resonance.
 
@@ -299,7 +315,9 @@ def plan_stabilization(
     two-qubit block; each gap goes to the resonator whose qubit actually
     couples the target to that eigenstate (ties fall back to ascending
     order).  Raises :class:`EnergyMatchingError` when
-    E_A + E_D != E_B + E_C beyond `rel_tol` relative to max|E|.
+    E_A + E_D != E_B + E_C beyond ``MATCHING_TOL`` relative to max|E|,
+    and ValueError when the ground state is degenerate (E_B - E_A at most
+    ``DEGENERATE_GAP_TOL`` relative to max|E|).
     """
     if hqq.dim != 4:
         raise ValueError("plan_stabilization expects a 4x4 two-qubit block")
@@ -309,13 +327,15 @@ def plan_stabilization(
     e = eigen.values
     scale = max(np.max(np.abs(e)), 1e-30)
     mismatch = abs(e[0] + e[3] - e[1] - e[2])
-    if mismatch > rel_tol * scale:
+    if mismatch > MATCHING_TOL * scale:
         raise EnergyMatchingError(
-            f"E_A+E_D-E_B-E_C = {mismatch:.3e} exceeds {rel_tol:.1e} x max|E| = "
-            f"{rel_tol * scale:.3e}; this block cannot be stabilized"
+            f"E_A+E_D-E_B-E_C = {mismatch:.3e} exceeds {MATCHING_TOL:.1e} x max|E| = "
+            f"{MATCHING_TOL * scale:.3e}; this block cannot be stabilized"
         )
     gap_b = e[1] - e[0]
     gap_c = e[2] - e[0]
+    if gap_b <= DEGENERATE_GAP_TOL * scale:
+        raise ValueError(f"degenerate ground state (E_B-E_A = {gap_b:.3e}); no unique target")
     m1 = _refill_coupling(eigen, 1, colors[0])
     m2 = _refill_coupling(eigen, 2, colors[1])
     # r1 takes the gap of whichever middle state q1 connects to the target

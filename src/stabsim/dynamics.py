@@ -32,6 +32,9 @@ RATE_STEP_FACTOR = 50.0
 TRAJECTORY_TRACE_TOL = 1e-6
 TRAJECTORY_EIG_TOL = 1e-6
 
+# s[-2]/s[0] of the generator below which the steady state is not unique
+KERNEL_TOL = 1e-8
+
 
 class IntegrationError(RuntimeError):
     """The integrator produced a state outside physical tolerances."""
@@ -190,18 +193,18 @@ def evolve(
     return _make_trajectory(grid, states, target)
 
 
-def steady_state(problem: LindbladProblem, kernel_tol: float = 1e-8) -> DensityMatrix:
+def steady_state(problem: LindbladProblem) -> DensityMatrix:
     """Steady state from the dense null space of the vectorized generator.
 
     The smallest right singular vector is reshaped, Hermitized and
     normalized to unit trace.  A second singular value below
-    `kernel_tol` times the largest signals a degenerate kernel and
+    ``KERNEL_TOL`` times the largest signals a degenerate kernel and
     raises :class:`DegenerateSteadyStateError`.
     """
     gen = liouvillian(problem)
     _, s, vt = np.linalg.svd(gen)
     scale = max(float(s[0]), 1e-300)
-    if s.size > 1 and s[-2] < kernel_tol * scale:
+    if s.size > 1 and s[-2] < KERNEL_TOL * scale:
         raise DegenerateSteadyStateError(
             f"generator kernel is degenerate (s[-2]/s[0] = {s[-2] / scale:.3e})"
         )
@@ -221,16 +224,18 @@ def generator_residual(problem: LindbladProblem, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(gen @ rho.entries.reshape(-1))))
 
 
-BUILDER_NAMES = ("even_parity", "odd_parity", "red_red", "opposite_detuning")
-
-
 def _hamiltonian_for_segment(name: str, drives: DriveSet, layout: SpaceLayout) -> ComplexOperator:
+    """The named recipe's Hamiltonian; the segment's drive colors must be the recipe's."""
     from . import builders
 
-    if name not in BUILDER_NAMES:
-        raise ValueError(f"unknown builder {name!r}; expected one of {BUILDER_NAMES}")
+    if name not in builders.RECIPES:
+        raise ValueError(f"unknown builder {name!r}; expected one of {tuple(builders.RECIPES)}")
     if drives.qq is None or drives.qr1 is None or drives.qr2 is None:
         raise ValueError(f"builder {name!r} needs qq, qr1 and qr2 drives")
+    needed = builders.RECIPES[name][:2]  # (qubit-qubit color, qubit-resonator colors)
+    colors = (drives.qq.color, (drives.qr1.color, drives.qr2.color))
+    if colors != needed:
+        raise ValueError(f"builder {name!r} needs drive colors {needed}, got {colors}")
     omega, delta = drives.qq.rate, drives.qq.detuning
     w1, w2 = drives.qr1.rate, drives.qr2.rate
     if name == "even_parity":
@@ -280,41 +285,34 @@ def evolve_schedule(
 
     The Lindblad problem is rebuilt for each segment from its drives and
     the shared noise specification.  Grid times must lie within
-    [0, total duration]; segment boundaries are crossed exactly.
+    [0, total duration]; segment boundaries are crossed exactly.  A grid
+    time within 1e-12 us after a segment's end is sampled in that segment.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
     if grid[-1] > schedule.total_duration + 1e-9:
         raise ValueError("grid extends past the end of the schedule")
     layout = schedule.initial_state.layout
-    times: list = []
     states: list = []
     rho = schedule.initial_state
-    t_seg_start = 0.0
-    remaining = list(grid)
+    t_start = 0.0
     for seg in schedule.segments:
-        t_seg_end = t_seg_start + seg.duration
-        h = _hamiltonian_for_segment(seg.builder, seg.drives, layout)
-        problem = build_lindblad(h, schedule.noise)
-        seg_times = [t for t in remaining if t <= t_seg_end + 1e-12]
-        remaining = remaining[len(seg_times):]
-        local = [t_seg_start] + seg_times + [t_seg_end]
-        # strictly ascending sub-grid within the segment
-        local_unique = [local[0]]
-        for t in local[1:]:
-            if t > local_unique[-1] + 1e-12:
-                local_unique.append(t)
-        sub = evolve(problem, rho, np.asarray(local_unique), max_step=max_step)
-        for t, st in zip(sub.times, sub.states):
-            for want in seg_times:
-                if abs(t - want) <= 1e-12:
-                    times.append(want)
-                    states.append(st)
-        rho = sub.states[-1]
-        t_seg_start = t_seg_end
-        if not remaining:
+        if len(states) == grid.size:
             break
-    return _make_trajectory(np.asarray(times), states, target)
+        t_end = t_start + seg.duration
+        seg_times = grid[len(states):np.searchsorted(grid, t_end + 1e-12, side="right")]
+        # samples within 1e-12 of the segment start take its initial state, and
+        # the end joins the sub-grid unless the last sample already lies there
+        n_start = int(np.searchsorted(seg_times, t_start + 1e-12, side="right"))
+        local = np.concatenate(([t_start], seg_times[n_start:]))
+        if t_end > local[-1] + 1e-12:
+            local = np.append(local, t_end)
+        h = _hamiltonian_for_segment(seg.builder, seg.drives, layout)
+        sub = evolve(build_lindblad(h, schedule.noise), rho, local, max_step=max_step)
+        states += [sub.states[0]] * n_start + list(sub.states[1:1 + seg_times.size - n_start])
+        rho = sub.states[-1]
+        t_start = t_end
+    return _make_trajectory(grid[:len(states)], states, target)
 
 
 class FitError(RuntimeError):

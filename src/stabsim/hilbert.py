@@ -166,14 +166,6 @@ class ComplexOperator:
         if self.layout != other.layout:
             raise LayoutError("operators live on different layouts")
 
-    def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_layout(other)
-        return ComplexOperator(self.layout, self.entries + other.entries)
-
-    def __sub__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_layout(other)
-        return ComplexOperator(self.layout, self.entries - other.entries)
-
     def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
         self._check_layout(other)
         return ComplexOperator(self.layout, self.entries @ other.entries)
@@ -225,10 +217,6 @@ class DensityMatrix:
         ket = np.asarray(ket, dtype=complex).reshape(-1)
         ket = ket / np.linalg.norm(ket)
         return cls(layout, np.outer(ket, ket.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)

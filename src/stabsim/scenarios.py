@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .builders import (
+    RECIPES,
     DriveSet,
     NoiseSpec,
     RabiDrive,
@@ -61,7 +62,7 @@ from .targets import (
     phi_theta,
     psi_theta,
     purity,
-    rabi_dressed_state,
+    rabi_dressed_block,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -272,9 +273,11 @@ def _qubit_state(state: DensityMatrix) -> np.ndarray:
 
 
 def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, layout: SpaceLayout):
-    """Reduced two-qubit steady state of a planned stabilization of `hqq`."""
+    """Reduced two-qubit steady state of a planned stabilization of `hqq`,
+    and the plan's target (the ground state of `hqq`)."""
     plan = plan_stabilization(hqq, d["w1"], d["w2"], colors)
-    return _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise)))
+    rq = _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise)))
+    return rq, plan.target
 
 
 def _theta_steady(cfg: dict, theta_deg: float, layout: SpaceLayout, noise: NoiseSpec):
@@ -284,7 +287,8 @@ def _theta_steady(cfg: dict, theta_deg: float, layout: SpaceLayout, noise: Noise
     delta = delta_for_blending_angle(d["omega"], theta)
     qq_color, colors, swapped, target = _BLENDING[cfg["family"]]
     hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, d["omega"], delta)))
-    rq = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors, noise, layout)
+    rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
+                                 noise, layout)
     return rq, target(theta), delta
 
 
@@ -331,21 +335,15 @@ def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) ->
             for t, f, p, par in zip(traj.times, traj.fidelity, traj.purity, traj.parity)]
 
 
-# segment parity -> (qubit-qubit color, qubit-resonator colors, dynamics builder name)
-_SEGMENT_RECIPES = {
-    "even": ("blue", ("blue", "blue"), "even_parity"),
-    "odd": ("red", ("red", "blue"), "odd_parity"),
-}
-
-
 def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
     segments = []
     for seg in cfg["segments"]:
         d = _drives_rad(cfg["drives"][seg["parity"]])
-        qq_color, (c1, c2), builder = _SEGMENT_RECIPES[seg["parity"]]
+        recipe = seg["parity"] + "_parity"
+        qq_color, (c1, c2), _ = RECIPES[recipe]
         drives = DriveSet(qq=SidebandDrive(qq_color, d["omega"], d["delta"]),
                           qr1=SidebandDrive(c1, d["w1"], 0.0), qr2=SidebandDrive(c2, d["w2"], 0.0))
-        segments.append(ScheduleSegment(seg["duration_us"], drives, builder))
+        segments.append(ScheduleSegment(seg["duration_us"], drives, recipe))
     schedule = DriveSchedule(tuple(segments), _ground_state(layout), noise)
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, schedule.total_duration + 1e-9 * dt, dt)
@@ -431,8 +429,9 @@ def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec)
     hqq = build_qubit_block(
         DriveSet(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
     )
-    colors = ("blue", "blue") if branch == "blue" else ("red", "blue")
-    rq = _planned_qubit_state(hqq, d, colors, noise, layout)
+    # each branch refills like the parity recipe with its qubit-qubit color
+    colors = RECIPES["even_parity" if branch == "blue" else "odd_parity"].qr
+    rq, _ = _planned_qubit_state(hqq, d, colors, noise, layout)
     return [(branch, float(a_over_om), math.degrees(theta1), fidelity(rq, target), purity(rq))]
 
 
@@ -440,12 +439,9 @@ def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -
     d_over_om, a_over_om = job
     d = _drives_rad(cfg["drives"])
     delta, a1 = d_over_om * d["omega"], a_over_om * d["omega"]
-    _, target = rabi_dressed_state(delta, a1, d["omega"])
-    hqq = build_qubit_block(
-        DriveSet(qq=SidebandDrive("blue", d["omega"], delta), rabi_q1=RabiDrive(a1, 0.0)),
-        detuning_convention="split",
-    )
-    rq = _planned_qubit_state(hqq, d, ("blue", "blue"), noise, layout)
+    # the plan's target is rabi_dressed_state's: the block's phase-fixed ground state
+    hqq = rabi_dressed_block(delta, a1, d["omega"])
+    rq, target = _planned_qubit_state(hqq, d, RECIPES["even_parity"].qr, noise, layout)
     return [(float(d_over_om), float(a_over_om), fidelity(rq, target), purity(rq))]
 
 

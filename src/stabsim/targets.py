@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, SpaceLayout, fix_eigenvector_phases
+from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, fix_eigenvector_phases
 
 TWO_QUBIT_LAYOUT = SpaceLayout((("q1", 2), ("q2", 2)))
-
-# basis order used everywhere for two-qubit amplitudes
-BASIS_LABELS = ("gg", "ge", "eg", "ee")
 
 
 @dataclass(frozen=True)
@@ -46,9 +43,6 @@ class StabilizationTarget:
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def as_density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(TWO_QUBIT_LAYOUT, self.density())
 
     def embed_with_vacuum(self, layout: SpaceLayout) -> np.ndarray:
         """Full-space ket with both resonators in the vacuum state."""
@@ -179,14 +173,16 @@ def rabi_dressed_coefficients(delta: float, a1: float, omega: float) -> RabiDres
     return RabiDressedCoefficients(x, y, e00, e01, e10)
 
 
-def _rabi_dressed_block(delta: float, a1: float, omega: float) -> np.ndarray:
-    """4x4 two-qubit block for the Rabi-dressed family (split detuning)."""
+def rabi_dressed_block(delta: float, a1: float, omega: float) -> ComplexOperator:
+    """4x4 two-qubit block of the Rabi-dressed family: a blue qubit-qubit
+    sideband at Omega, a Rabi drive A1 on q1, and the detuning delta split
+    as -+delta/2 across the diagonal."""
     h = np.zeros((4, 4), dtype=complex)
     h[0, 3] = h[3, 0] = omega / 2.0
     h[0, 2] = h[2, 0] = a1 / 2.0
     h[1, 3] = h[3, 1] = a1 / 2.0
     h += np.diag([-delta / 2.0, delta / 2.0, -delta / 2.0, delta / 2.0])
-    return h
+    return ComplexOperator(TWO_QUBIT_LAYOUT, h)
 
 
 def rabi_dressed_state(delta: float, a1: float, omega: float):
@@ -200,8 +196,7 @@ def rabi_dressed_state(delta: float, a1: float, omega: float):
         positive; the coefficients are returned for cross-checking only.
     """
     coeffs = rabi_dressed_coefficients(delta, a1, omega)
-    h = _rabi_dressed_block(delta, a1, omega)
-    _, vecs = np.linalg.eigh(h)
+    _, vecs = np.linalg.eigh(rabi_dressed_block(delta, a1, omega).entries)
     ground = fix_eigenvector_phases(vecs[:, :1])[:, 0]
     target = _normalized("rabi_dressed", (delta, a1, omega), ground)
     return coeffs, target
@@ -212,7 +207,7 @@ def closed_form_residual(delta: float, a1: float, omega: float) -> float:
     coeffs = rabi_dressed_coefficients(delta, a1, omega)
     v = coeffs.vector()
     v = v / np.linalg.norm(v)
-    h = _rabi_dressed_block(delta, a1, omega)
+    h = rabi_dressed_block(delta, a1, omega).entries
     lam = np.linalg.eigvalsh(h)[0]
     return float(np.linalg.norm(h @ v - lam * v))
 

@@ -26,7 +26,13 @@ from stabsim.hilbert import (
     number_op,
     partial_trace,
 )
-from stabsim.targets import TWO_QUBIT_LAYOUT, fidelity, psi_theta
+from stabsim.targets import (
+    TWO_QUBIT_LAYOUT,
+    delta_for_blending_angle,
+    fidelity,
+    psi_theta,
+    rabi_dressed_block,
+)
 
 TWO_PI = 2 * math.pi
 LAYOUT = SpaceLayout()
@@ -199,10 +205,7 @@ class TestQubitBlock:
 
     def test_split_detuning_block(self):
         omega, delta, a1 = 2.0, 0.8, 0.5
-        h = build_qubit_block(
-            DriveSet(qq=SidebandDrive("blue", omega, delta), rabi_q1=RabiDrive(a1, 0.0)),
-            detuning_convention="split",
-        )
+        h = rabi_dressed_block(delta, a1, omega)
         expected = np.array(
             [
                 [-delta / 2, 0, a1 / 2, omega / 2],
@@ -212,12 +215,6 @@ class TestQubitBlock:
             ]
         )
         assert np.allclose(h.entries, expected)
-
-    def test_split_convention_restricted_to_pair_pumping(self):
-        with pytest.raises(ValueError):
-            build_qubit_block(
-                DriveSet(qq=SidebandDrive("red", 1.0, 0.2)), detuning_convention="split"
-            )
 
     def test_ground_state_at_zero_detuning(self):
         h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", 2.0, 0.0)))
@@ -251,13 +248,9 @@ def random_block(kind, rng):
                 rabi_q1=RabiDrive(rng.uniform(lo, hi), 0.0),
             )
         )
-    return build_qubit_block(
-        DriveSet(
-            qq=SidebandDrive("blue", rng.uniform(lo, hi), rng.uniform(lo, hi)),
-            rabi_q1=RabiDrive(rng.uniform(lo, hi), 0.0),
-        ),
-        detuning_convention="split",
-    )
+    omega = rng.uniform(lo, hi)
+    delta = rng.uniform(lo, hi)
+    return rabi_dressed_block(delta, rng.uniform(lo, hi), omega)
 
 
 BLOCK_KINDS = ("product", "pair_pump_rabi", "exchange_rabi", "rabi_dressed")
@@ -305,6 +298,20 @@ class TestPlanStabilization:
         assembled = build_from_plan(plan, LAYOUT)
         named = build_even_parity_system(omega, 0.0, w, w, LAYOUT)
         assert np.max(np.abs(assembled.entries - named.entries)) < 1e-12
+
+    def test_degenerate_block_rejected(self):
+        h = build_qubit_block(DriveSet(qq=SidebandDrive("red", 0.0, 0.0)))
+        with pytest.raises(ValueError, match="degenerate"):
+            plan_stabilization(h, 0.1, 0.1)
+
+    def test_near_dead_angle_still_plans(self):
+        # theta = 179.5 deg has the smallest relative ground gap of the
+        # default theta grids (about 2e-5 of max|E|)
+        omega = TWO_PI * 5.0
+        delta = delta_for_blending_angle(omega, math.radians(179.5))
+        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", omega, delta)))
+        plan = plan_stabilization(h, TWO_PI * 0.5, TWO_PI * 0.5)
+        assert plan.qr1_detuning > 0 and plan.qr2_detuning > 0
 
 
 class TestBuildLindblad:

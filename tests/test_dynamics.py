@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -219,6 +220,42 @@ class TestSchedule:
         )
         with pytest.raises(ValueError):
             evolve_schedule(schedule, [0.0, 0.5])
+
+    @pytest.mark.parametrize("swap", [
+        {"qq": SidebandDrive("red", TWO_PI * 2.0, 0.0)},
+        {"qr1": SidebandDrive("red", TWO_PI * 0.47, 0.0),
+         "qr2": SidebandDrive("red", TWO_PI * 0.47, 0.0)},
+    ])
+    def test_segment_colors_must_match_recipe(self, swap):
+        drives = dataclasses.replace(even_drives(), **swap)
+        schedule = DriveSchedule(
+            (ScheduleSegment(1.0, drives, "even_parity"),), ground(LAYOUT), DEVICE_NOISE
+        )
+        with pytest.raises(ValueError, match="colors"):
+            evolve_schedule(schedule, [0.0, 0.5])
+
+    def test_samples_at_start_boundary_and_just_before_end(self):
+        odd = DriveSet(
+            qq=SidebandDrive("red", TWO_PI * 3.0, 0.0),
+            qr1=SidebandDrive("red", TWO_PI * 0.36, 0.0),
+            qr2=SidebandDrive("blue", TWO_PI * 0.36, 0.0),
+        )
+        schedule = DriveSchedule(
+            (ScheduleSegment(0.3, even_drives(), "even_parity"),
+             ScheduleSegment(0.2, odd, "odd_parity")),
+            ground(LAYOUT), DEVICE_NOISE,
+        )
+        grid = np.array([0.0, 0.3, 0.5 - 5e-13])
+        traj = evolve_schedule(schedule, grid)
+        assert len(traj.states) == grid.size
+        assert np.array_equal(traj.times, grid)
+        first = build_lindblad(
+            build_even_parity_system(TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, LAYOUT),
+            DEVICE_NOISE,
+        )
+        alone = evolve(first, ground(LAYOUT), [0.0, 0.3])
+        assert traj.states[1].entries.tobytes() == alone.final_state().entries.tobytes()
+        assert traj.states[0].entries.tobytes() == ground(LAYOUT).entries.tobytes()
 
 
 class TestFitTimeConstant:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stabsim import scenarios
+from stabsim.builders import plan_stabilization
 from stabsim.calibration import load_device_table
 from stabsim.cli import main
 from stabsim.scenarios import (
@@ -17,6 +18,7 @@ from stabsim.scenarios import (
     validate_config,
     write_result,
 )
+from stabsim.targets import rabi_dressed_block, rabi_dressed_state
 
 SMALL_KAPPA_SWEEP = {
     "kind": "kappa_sweep",
@@ -129,6 +131,20 @@ class TestMeasuredDefaults:
         }
         assert MEASURED_NOISE["t1_us"] == [25.0, 12.0]
         assert MEASURED_NOISE["tphi_us"] == [25.0, 25.0]
+
+    def test_rabi_dressed_plan_target_is_the_family_state(self):
+        # the rabi_dressed_map point scores against its plan's target
+        cfg = default_config("rabi_dressed_map")
+        omega = 2 * math.pi * cfg["drives"]["omega_mhz"]
+        w1, w2 = (2 * math.pi * cfg["drives"][k] for k in ("w1_mhz", "w2_mhz"))
+        points = [(d, a) for d in cfg["grid"]["delta_over_omega"]
+                  for a in cfg["grid"]["a1_over_omega"]]
+        assert len(points) == 441
+        for d_over_om, a_over_om in points:
+            delta, a1 = d_over_om * omega, a_over_om * omega
+            plan = plan_stabilization(rabi_dressed_block(delta, a1, omega), w1, w2)
+            _, target = rabi_dressed_state(delta, a1, omega)
+            assert plan.target.amplitudes.tobytes() == target.amplitudes.tobytes()
 
 
 class TestRunScenario:
