@@ -83,12 +83,10 @@ class RabiDrive:
 
 @dataclass(frozen=True)
 class DriveSet:
-    """All drives applied simultaneously: at most one qubit-qubit sideband,
-    one sideband per qubit-resonator pair, and one Rabi drive per qubit."""
+    """The drives of a two-qubit block: at most one qubit-qubit sideband and
+    one Rabi drive per qubit."""
 
     qq: Optional[SidebandDrive] = None
-    qr1: Optional[SidebandDrive] = None
-    qr2: Optional[SidebandDrive] = None
     rabi_q1: Optional[RabiDrive] = None
     rabi_q2: Optional[RabiDrive] = None
 
@@ -220,9 +218,6 @@ def build_odd_parity_system(
     return _sideband_recipe("odd_parity", omega, delta, w3, w4, layout)
 
 
-VARIANTS = ("blue_blue", "red_red", "opposite_detuning")
-
-
 def build_color_variant(
     omega: float,
     delta: float,
@@ -231,19 +226,17 @@ def build_color_variant(
     variant: str,
     layout: Optional[SpaceLayout] = None,
 ) -> ComplexOperator:
-    """Even-parity builder with alternate qubit-resonator colors or detunings.
+    """The system of any recipe named in :data:`RECIPES`.
 
-    "blue_blue" is :func:`build_even_parity_system`; "red_red" swaps both
-    qubit-resonator sidebands to exchange form with the same resonator
-    detunings; "opposite_detuning" keeps the blue sidebands and flips the
-    sign of both resonator diagonal terms, which moves the stabilized
-    point to the orthogonal member of the family.
+    Besides the two parity recipes: "red_red" swaps both qubit-resonator
+    sidebands of the even-parity recipe to exchange form with the same
+    resonator detunings; "opposite_detuning" keeps the blue sidebands and
+    flips the sign of both resonator diagonal terms, which moves the
+    stabilized point to the orthogonal member of the family.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    # the one variant that is not a recipe name is the even-parity recipe itself
-    name = variant if variant in RECIPES else "even_parity"
-    return _sideband_recipe(name, omega, delta, w1, w2, layout)
+    if variant not in RECIPES:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(RECIPES)}")
+    return _sideband_recipe(variant, omega, delta, w1, w2, layout)
 
 
 def build_qubit_block(drives: DriveSet) -> ComplexOperator:
@@ -281,14 +274,6 @@ class StabilizationPlan:
     qr1: SidebandDrive
     qr2: SidebandDrive
     target: StabilizationTarget
-
-    @property
-    def qr1_detuning(self) -> float:
-        return self.qr1.detuning
-
-    @property
-    def qr2_detuning(self) -> float:
-        return self.qr2.detuning
 
 
 def _refill_coupling(eigen: EigenSystem, qubit: int, color: str) -> np.ndarray:

@@ -15,6 +15,7 @@ from .scenarios import (
     default_config,
     run_scenario,
     validate_config,
+    write_csv,
     write_result,
 )
 
@@ -102,10 +103,7 @@ def _cmd_compare(args) -> int:
         args.result if os.path.isdir(args.result) else os.path.dirname(args.result) or ".",
         "compare.csv",
     )
-    with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    write_csv(out_path, columns, rows)
     widths = [max(len(str(c)), 12) for c in columns]
     print("  ".join(str(c).ljust(w) for c, w in zip(columns, widths)))
     for row in rows:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .builders import DriveSet, LindbladProblem, NoiseSpec, build_lindblad
+from .builders import RECIPES, LindbladProblem, NoiseSpec, build_lindblad
 from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, partial_trace
 from .targets import StabilizationTarget, fidelity as state_fidelity, parity_signature, purity
 
@@ -34,6 +34,9 @@ TRAJECTORY_EIG_TOL = 1e-6
 
 # s[-2]/s[0] of the generator below which the steady state is not unique
 KERNEL_TOL = 1e-8
+
+# how far (us) a schedule grid time may pass a segment's end and still sample it
+BOUNDARY_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -224,36 +227,37 @@ def generator_residual(problem: LindbladProblem, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(gen @ rho.entries.reshape(-1))))
 
 
-def _hamiltonian_for_segment(name: str, drives: DriveSet, layout: SpaceLayout) -> ComplexOperator:
-    """The named recipe's Hamiltonian; the segment's drive colors must be the recipe's."""
-    from . import builders
-
-    if name not in builders.RECIPES:
-        raise ValueError(f"unknown builder {name!r}; expected one of {tuple(builders.RECIPES)}")
-    if drives.qq is None or drives.qr1 is None or drives.qr2 is None:
-        raise ValueError(f"builder {name!r} needs qq, qr1 and qr2 drives")
-    needed = builders.RECIPES[name][:2]  # (qubit-qubit color, qubit-resonator colors)
-    colors = (drives.qq.color, (drives.qr1.color, drives.qr2.color))
-    if colors != needed:
-        raise ValueError(f"builder {name!r} needs drive colors {needed}, got {colors}")
-    omega, delta = drives.qq.rate, drives.qq.detuning
-    w1, w2 = drives.qr1.rate, drives.qr2.rate
-    if name == "even_parity":
-        return builders.build_even_parity_system(omega, delta, w1, w2, layout)
-    if name == "odd_parity":
-        return builders.build_odd_parity_system(omega, delta, w1, w2, layout)
-    return builders.build_color_variant(omega, delta, w1, w2, name, layout)
-
-
 @dataclass(frozen=True)
 class ScheduleSegment:
+    """One constant stretch of a drive schedule: the recipe named `builder`
+    (a key of :data:`stabsim.builders.RECIPES`) at qubit-qubit rate `omega`
+    with detuning `delta` on q1 and qubit-resonator rates `w1`, `w2`
+    (rad/us); the recipe places the resonator detunings."""
+
     duration: float
-    drives: DriveSet
     builder: str
+    omega: float
+    delta: float
+    w1: float
+    w2: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"segment duration must be finite and positive, got {self.duration}")
+        if self.builder not in RECIPES:
+            raise ValueError(f"unknown builder {self.builder!r}; expected one of {tuple(RECIPES)}")
+
+
+def _hamiltonian_for_segment(seg: ScheduleSegment, layout: SpaceLayout) -> ComplexOperator:
+    """The segment's recipe at its rates, built through the named builders."""
+    from . import builders
+
+    args = (seg.omega, seg.delta, seg.w1, seg.w2)
+    if seg.builder == "even_parity":
+        return builders.build_even_parity_system(*args, layout)
+    if seg.builder == "odd_parity":
+        return builders.build_odd_parity_system(*args, layout)
+    return builders.build_color_variant(*args, seg.builder, layout)
 
 
 @dataclass(frozen=True)
@@ -285,12 +289,13 @@ def evolve_schedule(
 
     The Lindblad problem is rebuilt for each segment from its drives and
     the shared noise specification.  Grid times must lie within
-    [0, total duration]; segment boundaries are crossed exactly.  A grid
-    time within 1e-12 us after a segment's end is sampled in that segment.
+    [0, total duration + ``BOUNDARY_TOL``]; segment boundaries are crossed
+    exactly.  A grid time within ``BOUNDARY_TOL`` after a segment's end is
+    sampled in that segment.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
-    if grid[-1] > schedule.total_duration + 1e-9:
+    if grid[-1] > schedule.total_duration + BOUNDARY_TOL:
         raise ValueError("grid extends past the end of the schedule")
     layout = schedule.initial_state.layout
     states: list = []
@@ -300,14 +305,14 @@ def evolve_schedule(
         if len(states) == grid.size:
             break
         t_end = t_start + seg.duration
-        seg_times = grid[len(states):np.searchsorted(grid, t_end + 1e-12, side="right")]
-        # samples within 1e-12 of the segment start take its initial state, and
-        # the end joins the sub-grid unless the last sample already lies there
-        n_start = int(np.searchsorted(seg_times, t_start + 1e-12, side="right"))
+        seg_times = grid[len(states):np.searchsorted(grid, t_end + BOUNDARY_TOL, side="right")]
+        # samples within BOUNDARY_TOL of the segment start take its initial state,
+        # and the end joins the sub-grid unless the last sample already lies there
+        n_start = int(np.searchsorted(seg_times, t_start + BOUNDARY_TOL, side="right"))
         local = np.concatenate(([t_start], seg_times[n_start:]))
-        if t_end > local[-1] + 1e-12:
+        if t_end > local[-1] + BOUNDARY_TOL:
             local = np.append(local, t_end)
-        h = _hamiltonian_for_segment(seg.builder, seg.drives, layout)
+        h = _hamiltonian_for_segment(seg, layout)
         sub = evolve(build_lindblad(h, schedule.noise), rho, local, max_step=max_step)
         states += [sub.states[0]] * n_start + list(sub.states[1:1 + seg_times.size - n_start])
         rho = sub.states[-1]

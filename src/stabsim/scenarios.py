@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -280,18 +280,6 @@ def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, layout: 
     return rq, plan.target
 
 
-def _theta_steady(cfg: dict, theta_deg: float, layout: SpaceLayout, noise: NoiseSpec):
-    """One blending-angle point: (reduced steady state, target, delta)."""
-    d = _drives_rad(cfg["drives"])
-    theta = math.radians(theta_deg)
-    delta = delta_for_blending_angle(d["omega"], theta)
-    qq_color, colors, swapped, target = _BLENDING[cfg["family"]]
-    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, d["omega"], delta)))
-    rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
-                                 noise, layout)
-    return rq, target(theta), delta
-
-
 def _theta_values(grid: dict) -> list:
     start, stop, step = grid["start_deg"], grid["stop_deg"], grid["step_deg"]
     n = int(round((stop - start) / step)) + 1
@@ -336,15 +324,12 @@ def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) ->
 
 
 def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    segments = []
-    for seg in cfg["segments"]:
-        d = _drives_rad(cfg["drives"][seg["parity"]])
-        recipe = seg["parity"] + "_parity"
-        qq_color, (c1, c2), _ = RECIPES[recipe]
-        drives = DriveSet(qq=SidebandDrive(qq_color, d["omega"], d["delta"]),
-                          qr1=SidebandDrive(c1, d["w1"], 0.0), qr2=SidebandDrive(c2, d["w2"], 0.0))
-        segments.append(ScheduleSegment(seg["duration_us"], drives, recipe))
-    schedule = DriveSchedule(tuple(segments), _ground_state(layout), noise)
+    segments = tuple(
+        ScheduleSegment(seg["duration_us"], seg["parity"] + "_parity",
+                        **_drives_rad(cfg["drives"][seg["parity"]]))
+        for seg in cfg["segments"]
+    )
+    schedule = DriveSchedule(segments, _ground_state(layout), noise)
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, schedule.total_duration + 1e-9 * dt, dt)
     traj = evolve_schedule(schedule, grid)
@@ -375,29 +360,55 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
 
 
 def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    rq, target, delta = _theta_steady(cfg, job[1], layout, noise)
+    d = _drives_rad(cfg["drives"])
+    theta = math.radians(job[1])
+    delta = delta_for_blending_angle(d["omega"], theta)
+    qq_color, colors, swapped, target = _BLENDING[cfg["family"]]
+    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, d["omega"], delta)))
+    rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
+                                 noise, layout)
+    target = target(theta)
     return [(job[1], delta / TWO_PI, fidelity(rq, target), purity(rq), parity_signature(rq))]
 
 
-def _bell_steady(cfg: dict, family: str, drives: dict, layout: SpaceLayout, **noise_override):
-    """Reduced steady state and target of a Bell recipe under config noise overrides."""
-    noise = _noise_from_config(dict(cfg["noise"], **noise_override))
+def _bell_steady(family: str, drives: dict, noise: NoiseSpec, layout: SpaceLayout):
+    """Reduced steady state and target of a Bell recipe."""
     problem, target = _bell_problem(family, drives, noise, layout)
     return _qubit_state(steady_state(problem)), target
 
 
+def _with_kappa(noise: NoiseSpec, kappa_mhz: float) -> NoiseSpec:
+    return replace(noise, kappa1=TWO_PI * kappa_mhz, kappa2=TWO_PI * kappa_mhz)
+
+
+# the (family, drives, noise) of one Bell-kind point, shared by its point
+# function and its analytic hook
+
+
+def _tphi_inputs(cfg: dict, family: str, tphi: float, noise: NoiseSpec) -> tuple:
+    tphi = float(tphi)
+    return family, _family_drives(cfg, family), replace(noise, tphi_q1=tphi, tphi_q2=tphi)
+
+
+def _kappa_inputs(cfg: dict, family: str, kappa_mhz: float, noise: NoiseSpec) -> tuple:
+    return family, _family_drives(cfg, family), _with_kappa(noise, kappa_mhz)
+
+
+def _omega_kappa_inputs(cfg: dict, om_mhz: float, kappa_mhz: float, noise: NoiseSpec) -> tuple:
+    drives = {"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz}
+    return cfg["family"], drives, _with_kappa(noise, kappa_mhz)
+
+
 def _tphi_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
     family, tphi = job
-    rq, target = _bell_steady(cfg, family, _family_drives(cfg, family), layout, tphi_us=tphi)
+    rq, target = _bell_steady(*_tphi_inputs(cfg, family, tphi, noise), layout)
     return [(family, float(tphi), fidelity(rq, target), purity(rq))]
 
 
 def _kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
     family, ratio = job
-    drives = _family_drives(cfg, family)
-    kappa_mhz = ratio * float(drives["w1_mhz"])
-    rq, target = _bell_steady(cfg, family, drives, layout, kappa1_mhz=kappa_mhz,
-                              kappa2_mhz=kappa_mhz)
+    kappa_mhz = ratio * float(_family_drives(cfg, family)["w1_mhz"])
+    rq, target = _bell_steady(*_kappa_inputs(cfg, family, kappa_mhz, noise), layout)
     return [(family, float(ratio), kappa_mhz, fidelity(rq, target), purity(rq))]
 
 
@@ -413,9 +424,7 @@ def _kappa_peaks(cfg: dict, named: dict) -> dict:
 
 def _omega_kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
     om_mhz, kappa_mhz = job
-    drives = {"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz}
-    rq, target = _bell_steady(cfg, cfg["family"], drives, layout, kappa1_mhz=kappa_mhz,
-                              kappa2_mhz=kappa_mhz)
+    rq, target = _bell_steady(*_omega_kappa_inputs(cfg, om_mhz, kappa_mhz, noise), layout)
     f = fidelity(rq, target)
     return [(float(om_mhz), float(kappa_mhz), f, 1.0 - f)]
 
@@ -446,22 +455,17 @@ def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -
 
 
 def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    rq, target, _ = _theta_steady(cfg, job[1], layout, noise)
-    f_lindblad = fidelity(rq, target)
-    f_rate = _rate_model_fidelity(cfg, cfg["drives"], cfg["family"], math.radians(job[1]))
-    return [(job[1], f_lindblad, f_rate, abs(f_lindblad - f_rate))]
+    row = _theta_spectroscopy_point(cfg, job, layout, noise)[0]
+    _, f, f_rate = _theta_analytic(cfg, row, noise)
+    return [(job[1], f, f_rate, abs(f - f_rate))]
 
 
-def _rate_model_fidelity(
-    cfg: dict, drives: dict, family: str, theta: float, kappa_mhz: Optional[float] = None
-) -> float:
+def _rate_model_fidelity(cfg: dict, family: str, drives: dict, noise: NoiseSpec,
+                         theta: float) -> float:
     """Analytic steady-state fidelity with scalar (mean) rates."""
     d = _drives_rad(drives)
     w = (d["w1"] + d["w2"]) / 2.0
-    noise = _noise_from_config(cfg["noise"])
-    kappa = (
-        TWO_PI * kappa_mhz if kappa_mhz is not None else (noise.kappa1 + noise.kappa2) / 2.0
-    )
+    kappa = (noise.kappa1 + noise.kappa2) / 2.0
     gamma = (1.0 / noise.t1_q1 + 1.0 / noise.t1_q2) / 2.0
     # default odd-family colors refill through the cos^2 branch like the
     # pair-pumping scheme; the swapped combination behaves like exchange
@@ -471,29 +475,29 @@ def _rate_model_fidelity(
     return steady_fidelity(gamma_t, gamma, theta, color)
 
 
-def _theta_analytic(cfg: dict, row) -> tuple:
+def _theta_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
     theta_deg, _, f, _, _ = row
-    f_rate = _rate_model_fidelity(cfg, cfg["drives"], cfg["family"], math.radians(theta_deg))
+    f_rate = _rate_model_fidelity(cfg, cfg["family"], cfg["drives"], noise,
+                                  math.radians(theta_deg))
     return f"theta={theta_deg:g}deg", f, f_rate
 
 
-def _tphi_analytic(cfg: dict, row) -> tuple:
+def _tphi_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
     family, tphi, f, _ = row
-    f_rate = _rate_model_fidelity(cfg, _family_drives(cfg, family), family, math.pi / 2.0)
+    f_rate = _rate_model_fidelity(cfg, *_tphi_inputs(cfg, family, tphi, noise), math.pi / 2.0)
     return f"{family}:tphi={tphi:g}us", f, f_rate
 
 
-def _kappa_analytic(cfg: dict, row) -> tuple:
+def _kappa_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
     family, ratio, kappa_mhz, f, _ = row
-    drives = _family_drives(cfg, family)
-    f_rate = _rate_model_fidelity(cfg, drives, family, math.pi / 2.0, kappa_mhz)
+    f_rate = _rate_model_fidelity(cfg, *_kappa_inputs(cfg, family, kappa_mhz, noise),
+                                  math.pi / 2.0)
     return f"{family}:kappa/W={ratio:g}", f, f_rate
 
 
-def _omega_kappa_analytic(cfg: dict, row) -> tuple:
+def _omega_kappa_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
     om, kap, f, _ = row
-    drives = {"omega_mhz": om, "w1_mhz": kap, "w2_mhz": kap}
-    f_rate = _rate_model_fidelity(cfg, drives, cfg["family"], math.pi / 2.0, kap)
+    f_rate = _rate_model_fidelity(cfg, *_omega_kappa_inputs(cfg, om, kap, noise), math.pi / 2.0)
     return f"omega={om:g},kappa={kap:g}", f, f_rate
 
 
@@ -504,7 +508,7 @@ class KindSpec:
     `point(cfg, job, layout, noise)` returns the rows of one job from
     `jobs(cfg)`.  Optional hooks: `check(cfg, raw)` validates (and may
     fill in) kind-specific fields, `summary(cfg, named_columns)` adds
-    summary entries, `analytic(cfg, row)` gives the (label, solver
+    summary entries, `analytic(cfg, row, noise)` gives the (label, solver
     fidelity, rate-model fidelity) of one row for :func:`compare_analytic`.
     """
 
@@ -700,10 +704,12 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     return SweepResult(cfg["kind"], spec.columns, tuple(rows), summary, metadata, tuple(failures))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def write_csv(path, columns, rows):
+    """Write a header line and one line per row, floats as %.12g."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def write_result(result: SweepResult, outdir) -> dict:
@@ -712,10 +718,7 @@ def write_result(result: SweepResult, outdir) -> dict:
 
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "result.csv")
-    with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(csv_path, result.columns, result.rows)
     summary_path = os.path.join(outdir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(
@@ -741,8 +744,9 @@ def compare_analytic(result: SweepResult):
     if analytic is None:
         raise ConfigError(f"scenario kind {result.kind!r} has no analytic counterpart")
     cfg = result.metadata["config"]
+    noise = _noise_from_config(cfg["noise"])
     rows = []
     for row in result.rows:
-        label, f, f_rate = analytic(cfg, row)
+        label, f, f_rate = analytic(cfg, row, noise)
         rows.append((label, f, f_rate, abs(f - f_rate)))
     return ("label",) + _COMPARISON, rows

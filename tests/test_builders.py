@@ -121,12 +121,12 @@ class TestColorVariants:
             build_color_variant(1.0, 0.0, 0.1, 0.1, "purple", LAYOUT)
 
     def test_zero_rates_equal_across_variants(self):
-        a = build_color_variant(1.0, 0.0, 0.0, 0.0, "blue_blue", LAYOUT)
+        a = build_color_variant(1.0, 0.0, 0.0, 0.0, "even_parity", LAYOUT)
         b = build_color_variant(1.0, 0.0, 0.0, 0.0, "red_red", LAYOUT)
         assert np.allclose(a.entries, b.entries)
 
     def test_blue_blue_reproduces_named_builder(self):
-        a = build_color_variant(2.0, 0.3, 0.5, 0.4, "blue_blue", LAYOUT)
+        a = build_color_variant(2.0, 0.3, 0.5, 0.4, "even_parity", LAYOUT)
         b = build_even_parity_system(2.0, 0.3, 0.5, 0.4, LAYOUT)
         assert np.array_equal(a.entries, b.entries)
 
@@ -157,7 +157,7 @@ class TestColorVariants:
             kappa1=TWO_PI * 0.33, kappa2=TWO_PI * 0.43, t1_q1=25.0, t1_q2=12.0
         )
         fids = []
-        for variant in ("blue_blue", "red_red"):
+        for variant in ("even_parity", "red_red"):
             h = build_color_variant(
                 TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, variant, LAYOUT
             )
@@ -270,8 +270,8 @@ class TestPlanStabilization:
     def test_bell_point_detunings(self):
         h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", TWO_PI * 2.0, 0.0)))
         plan = plan_stabilization(h, 0.3, 0.3)
-        assert plan.qr1_detuning == pytest.approx(TWO_PI * 1.0, rel=1e-12)
-        assert plan.qr2_detuning == pytest.approx(TWO_PI * 1.0, rel=1e-12)
+        assert plan.qr1.detuning == pytest.approx(TWO_PI * 1.0, rel=1e-12)
+        assert plan.qr2.detuning == pytest.approx(TWO_PI * 1.0, rel=1e-12)
         assert plan.delta_big == pytest.approx(TWO_PI * 2.0, rel=1e-12)
 
     def test_random_product_blocks(self):
@@ -281,7 +281,7 @@ class TestPlanStabilization:
             plan = plan_stabilization(h, 0.2, 0.2)
             e = plan.eigen.values
             gaps = {round(e[1] - e[0], 9), round(e[2] - e[0], 9)}
-            dets = {round(plan.qr1_detuning, 9), round(plan.qr2_detuning, 9)}
+            dets = {round(plan.qr1.detuning, 9), round(plan.qr2.detuning, 9)}
             assert gaps == dets
 
     def test_violated_matching_rejected(self):
@@ -311,7 +311,7 @@ class TestPlanStabilization:
         delta = delta_for_blending_angle(omega, math.radians(179.5))
         h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", omega, delta)))
         plan = plan_stabilization(h, TWO_PI * 0.5, TWO_PI * 0.5)
-        assert plan.qr1_detuning > 0 and plan.qr2_detuning > 0
+        assert plan.qr1.detuning > 0 and plan.qr2.detuning > 0
 
 
 class TestBuildLindblad:

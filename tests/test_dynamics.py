@@ -1,13 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from stabsim.builders import (
-    DriveSet,
     NoiseSpec,
-    SidebandDrive,
     build_even_parity_system,
     build_lindblad,
     LindbladProblem,
@@ -37,12 +34,8 @@ DEVICE_NOISE = NoiseSpec(
 )
 
 
-def even_drives(omega_mhz=2.0, w_mhz=0.47):
-    return DriveSet(
-        qq=SidebandDrive("blue", TWO_PI * omega_mhz, 0.0),
-        qr1=SidebandDrive("blue", TWO_PI * w_mhz, 0.0),
-        qr2=SidebandDrive("blue", TWO_PI * w_mhz, 0.0),
-    )
+def even_segment(duration, builder="even_parity"):
+    return ScheduleSegment(duration, builder, TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47)
 
 
 def ground(layout):
@@ -182,69 +175,43 @@ class TestSchedule:
         )
         grid = np.linspace(0.0, 2.0, 9)
         direct = evolve(problem, ground(LAYOUT), grid)
-        schedule = DriveSchedule(
-            (ScheduleSegment(2.0, even_drives(), "even_parity"),), ground(LAYOUT), DEVICE_NOISE
-        )
+        schedule = DriveSchedule((even_segment(2.0),), ground(LAYOUT), DEVICE_NOISE)
         via_schedule = evolve_schedule(schedule, grid)
         for a, b in zip(direct.states, via_schedule.states):
             assert np.max(np.abs(a.entries - b.entries)) < 1e-12
 
     def test_splitting_segment_is_identity(self):
         grid = np.linspace(0.0, 2.0, 9)
-        one = DriveSchedule(
-            (ScheduleSegment(2.0, even_drives(), "even_parity"),), ground(LAYOUT), DEVICE_NOISE
-        )
-        two = DriveSchedule(
-            (
-                ScheduleSegment(1.0, even_drives(), "even_parity"),
-                ScheduleSegment(1.0, even_drives(), "even_parity"),
-            ),
-            ground(LAYOUT),
-            DEVICE_NOISE,
-        )
+        one = DriveSchedule((even_segment(2.0),), ground(LAYOUT), DEVICE_NOISE)
+        two = DriveSchedule((even_segment(1.0), even_segment(1.0)), ground(LAYOUT), DEVICE_NOISE)
         t1 = evolve_schedule(one, grid)
         t2 = evolve_schedule(two, grid)
         for a, b in zip(t1.states, t2.states):
             assert np.max(np.abs(a.entries - b.entries)) < 1e-9
 
     def test_grid_outside_schedule_rejected(self):
-        schedule = DriveSchedule(
-            (ScheduleSegment(1.0, even_drives(), "even_parity"),), ground(LAYOUT), DEVICE_NOISE
-        )
+        schedule = DriveSchedule((even_segment(1.0),), ground(LAYOUT), DEVICE_NOISE)
         with pytest.raises(ValueError):
             evolve_schedule(schedule, [0.0, 2.0])
 
     def test_unknown_builder_rejected(self):
-        schedule = DriveSchedule(
-            (ScheduleSegment(1.0, even_drives(), "mystery"),), ground(LAYOUT), DEVICE_NOISE
-        )
-        with pytest.raises(ValueError):
-            evolve_schedule(schedule, [0.0, 0.5])
+        with pytest.raises(ValueError, match="unknown builder"):
+            even_segment(1.0, "mystery")
 
-    @pytest.mark.parametrize("swap", [
-        {"qq": SidebandDrive("red", TWO_PI * 2.0, 0.0)},
-        {"qr1": SidebandDrive("red", TWO_PI * 0.47, 0.0),
-         "qr2": SidebandDrive("red", TWO_PI * 0.47, 0.0)},
-    ])
-    def test_segment_colors_must_match_recipe(self, swap):
-        drives = dataclasses.replace(even_drives(), **swap)
-        schedule = DriveSchedule(
-            (ScheduleSegment(1.0, drives, "even_parity"),), ground(LAYOUT), DEVICE_NOISE
-        )
-        with pytest.raises(ValueError, match="colors"):
-            evolve_schedule(schedule, [0.0, 0.5])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -1.0])
+    def test_segment_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            even_segment(duration)
+
+    def test_grid_just_past_the_end_rejected(self):
+        # past the end by more than the boundary tolerance, so no segment samples it
+        schedule = DriveSchedule((even_segment(0.2),), ground(LAYOUT), DEVICE_NOISE)
+        with pytest.raises(ValueError, match="past the end"):
+            evolve_schedule(schedule, [0.0, 0.1, 0.2 + 5e-10])
 
     def test_samples_at_start_boundary_and_just_before_end(self):
-        odd = DriveSet(
-            qq=SidebandDrive("red", TWO_PI * 3.0, 0.0),
-            qr1=SidebandDrive("red", TWO_PI * 0.36, 0.0),
-            qr2=SidebandDrive("blue", TWO_PI * 0.36, 0.0),
-        )
-        schedule = DriveSchedule(
-            (ScheduleSegment(0.3, even_drives(), "even_parity"),
-             ScheduleSegment(0.2, odd, "odd_parity")),
-            ground(LAYOUT), DEVICE_NOISE,
-        )
+        odd = ScheduleSegment(0.2, "odd_parity", TWO_PI * 3.0, 0.0, TWO_PI * 0.36, TWO_PI * 0.36)
+        schedule = DriveSchedule((even_segment(0.3), odd), ground(LAYOUT), DEVICE_NOISE)
         grid = np.array([0.0, 0.3, 0.5 - 5e-13])
         traj = evolve_schedule(schedule, grid)
         assert len(traj.states) == grid.size

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from stabsim.scenarios import (
     write_result,
 )
 from stabsim.targets import rabi_dressed_block, rabi_dressed_state
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 SMALL_KAPPA_SWEEP = {
     "kind": "kappa_sweep",
@@ -332,6 +335,32 @@ class TestCli:
         assert summary["metadata"]["kind"] == "kappa_sweep"
         assert main(["compare", str(out_dir), "--analytic"]) == 0
         assert (out_dir / "compare.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["theta_spectroscopy", "tphi_sweep", "kappa_sweep",
+                                      "omega_kappa_map", "rate_model_compare"])
+    def test_compare_from_disk_matches_in_memory(self, kind, tmp_path, capsys):
+        # the golden run's small config; compare reads the rounded CSV cells back
+        with open(os.path.join(GOLDEN_DIR, f"{kind}.json"), encoding="utf-8") as fh:
+            config = json.load(fh)["config"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--workers", "1"]) == 0
+        assert main(["compare", str(out_dir), "--analytic"]) == 0
+        columns, rows = compare_analytic(run_scenario(config, workers=1))
+        header, *lines = (out_dir / "compare.csv").read_text().splitlines()
+        assert header.split(",") == list(columns)
+        assert len(lines) == len(rows) > 0
+        for line, row in zip(lines, rows):
+            # only the first cell may be text, and an omega_kappa_map label holds
+            # an unquoted comma, so split off the numeric cells from the right
+            cells = line.rsplit(",", len(row) - 1)
+            assert len(cells) == len(row)
+            for cell, value in zip(cells, row):
+                if isinstance(value, str):
+                    assert cell == value
+                else:
+                    assert math.isclose(float(cell), value, rel_tol=0.0, abs_tol=1e-10)
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
