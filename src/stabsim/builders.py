@@ -94,7 +94,8 @@ class DriveSet:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Dissipation rates: resonator decay (1/us), qubit T1 and pure-dephasing
-    times (us).  Infinite times switch the corresponding channel off."""
+    times (us).  Infinite times switch the corresponding channel off; the
+    resonator decay rates must be finite."""
 
     kappa1: float
     kappa2: float
@@ -108,6 +109,8 @@ class NoiseSpec:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+            if name.startswith("kappa") and value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -355,7 +358,7 @@ def build_lindblad(h: ComplexOperator, noise: NoiseSpec) -> LindbladProblem:
     layout = h.layout
     ops = []
     for label, rate in (("r1", noise.kappa1), ("r2", noise.kappa2)):
-        if label in layout.labels and math.isfinite(rate):
+        if label in layout.labels:
             ops.append(math.sqrt(rate) * annihilation(layout, label))
     for label, t1, tphi in (
         ("q1", noise.t1_q1, noise.tphi_q1),

@@ -32,8 +32,7 @@ class CircuitParams:
     """Circuit constants and drive amplitudes for the rate formulas.
 
     `phi_dc` is the DC coupler flux phase in units of pi.  `epsilon` is
-    the dimensionless flux-modulation amplitude, `epsilon_q` the charge
-    drive amplitude in the same angular unit as the couplings.
+    the dimensionless flux-modulation amplitude.
     """
 
     ej1: float
@@ -43,9 +42,6 @@ class CircuitParams:
     epsilon: float = 0.0
     omega_q1: float = 0.0
     omega_q2: float = 0.0
-    g_qr: float = 0.0
-    delta_qr: float = 0.0
-    epsilon_q: float = 0.0
     c_q1: float = 0.0
     c_q2: float = 0.0
     c_q12: float = 0.0

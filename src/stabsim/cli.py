@@ -9,10 +9,10 @@ import sys
 
 from .scenarios import (
     SCENARIO_INFO,
-    SweepResult,
     ConfigError,
     compare_analytic,
     default_config,
+    read_result,
     run_scenario,
     validate_config,
     write_csv,
@@ -27,7 +27,7 @@ def _load_json(path: str) -> dict:
 
 def _cmd_run(args) -> int:
     config = _load_json(args.config)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):  # validation rejects a non-object
         config["seed"] = args.seed
     result = run_scenario(config, workers=args.workers)
     paths = write_result(result, args.out)
@@ -50,11 +50,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = validate_config(_load_json(args.config))
-    except (ConfigError, ValueError, KeyError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    cfg = validate_config(_load_json(args.config))
     print(f"ok: {cfg['kind']} scenario, seed {cfg['seed']}")
     return 0
 
@@ -64,45 +60,14 @@ def _cmd_show_config(args) -> int:
     return 0
 
 
-def _load_result(path: str) -> SweepResult:
-    if os.path.isdir(path):
-        csv_path = os.path.join(path, "result.csv")
-        summary_path = os.path.join(path, "summary.json")
-    else:
-        csv_path = path
-        summary_path = os.path.join(os.path.dirname(path) or ".", "summary.json")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)["metadata"]
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            values = []
-            for cell in line.strip().split(","):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    values.append(cell)
-            rows.append(tuple(values))
-    return SweepResult(
-        kind=meta["kind"],
-        columns=tuple(header),
-        rows=tuple(rows),
-        summary={},
-        metadata=meta,
-    )
-
-
 def _cmd_compare(args) -> int:
     if not args.analytic:
         print("nothing to compare: pass --analytic", file=sys.stderr)
         return 1
-    result = _load_result(args.result)
+    result = read_result(args.result)
     columns, rows = compare_analytic(result)
     out_path = args.out or os.path.join(
-        args.result if os.path.isdir(args.result) else os.path.dirname(args.result) or ".",
-        "compare.csv",
-    )
+        args.result if os.path.isdir(args.result) else os.path.dirname(args.result), "compare.csv")
     write_csv(out_path, columns, rows)
     widths = [max(len(str(c)), 12) for c in columns]
     print("  ".join(str(c).ljust(w) for c, w in zip(columns, widths)))
@@ -150,8 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad config or an unreadable file ends in one line
+    on stderr and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        print(f"stabsim {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ are byte-identical regardless of the worker count.
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -121,14 +123,21 @@ def _number(test: Callable, what: str) -> tuple:
     return (lambda v: _is_number(v) and test(v), "a finite number" + what)
 
 
+def _whole(minimum: int) -> tuple:
+    return _number(lambda v: v == int(v) and v >= minimum, f" that is whole and >= {minimum}")
+
+
 def _one_of(*allowed) -> tuple:
     return (lambda v: v in allowed, f"one of {allowed}")
 
 
-# field name -> (test, description) for every value in drives, grids, segments
-# and the string fields: rates and times must be positive, ratio grids
-# non-negative (0 is in their defaults), detunings and angles finite
+# field name -> (test, description) for every value outside the noise block:
+# rates and times must be positive, ratio grids non-negative (0 is in their
+# defaults), detunings and angles finite
 _FIELD_RULES = {
+    "seed": _whole(0),
+    "resonator_dim": _whole(2),
+    "swap_colors": (lambda v: isinstance(v, bool), "true or false"),
     **dict.fromkeys(("omega_mhz", "w1_mhz", "w2_mhz", "tphi_us", "kappa_mhz", "kappa_over_w",
                      "t_max_us", "dt_us", "duration_us", "fit_window_us", "step_deg"),
                     _number(lambda v: v > 0, " > 0")),
@@ -163,36 +172,26 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _as_pair(value, name: str) -> tuple:
-    if isinstance(value, (int, float)):
-        return (float(value), float(value))
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        f"{name} must be a number or a pair",
-    )
-    return (float(value[0]), float(value[1]))
-
-
 def _check_fields(node, field: Optional[str] = None, path: str = ""):
-    """Apply ``_FIELD_RULES`` below `node` and reject empty lists (noise
-    aside: :class:`NoiseSpec` checks it)."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if key != "noise":
-                _check_fields(value, key, f"{path}{key}.")
-    elif isinstance(node, list):
+    """Apply ``_FIELD_RULES`` below `node` and reject empty or nested lists
+    (noise aside: :func:`_noise_from_config` checks it)."""
+    if isinstance(node, list):
         _require(len(node) > 0, f"{path[:-1]} must not be empty")
         for i, value in enumerate(node):
+            _require(not isinstance(value, list), f"{path[:-1]} must not hold lists")
             _check_fields(value, field, f"{path[:-1]}[{i}].")
     elif field in _FIELD_RULES:
         ok, what = _FIELD_RULES[field]
         _require(ok(node), f"{path[:-1]} must be {what}, got {node!r}")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key != "noise":
+                _check_fields(value, key, f"{path}{key}.")
 
 
 def default_config(kind: str) -> dict:
     """Fully-populated default configuration for a scenario kind."""
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; see list-scenarios")
+    _require(kind in SCENARIO_KINDS, f"unknown scenario kind {kind!r}; see list-scenarios")
     # a deep copy, so callers never share the module's default constants
     return {"kind": kind, "seed": 0, "resonator_dim": 2, **copy.deepcopy(KINDS[kind].defaults)}
 
@@ -202,16 +201,12 @@ def validate_config(raw: dict) -> dict:
     _require(isinstance(raw, dict), "config must be a JSON object")
     _require("kind" in raw, "config needs a 'kind' field")
     cfg = _merge(default_config(raw["kind"]), raw)
-    dim = cfg["resonator_dim"]
-    _require(_is_number(dim) and dim == int(dim) and dim >= 2,
-             f"resonator_dim must be a whole number of at least 2, got {dim!r}")
-    cfg["resonator_dim"] = int(dim)
-    cfg["seed"] = int(cfg["seed"])
+    _check_fields(cfg)
+    cfg["seed"], cfg["resonator_dim"] = int(cfg["seed"]), int(cfg["resonator_dim"])
     try:
         _noise_from_config(cfg["noise"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
-    _check_fields(cfg)
     check = KINDS[cfg["kind"]].check
     if check is not None:
         check(cfg, raw)
@@ -222,10 +217,20 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _noise_times(value, name: str) -> tuple:
+    """A time or a pair of times (us); Infinity turns the channel off."""
+    pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, value)
+    _require(all(_is_number(v) or v == math.inf for v in pair),
+             f"{name} must be a number or a pair of numbers, got {value!r}")
+    return float(pair[0]), float(pair[1])
+
+
 def _noise_from_config(noise: dict) -> NoiseSpec:
-    t1 = _as_pair(noise["t1_us"], "noise.t1_us")
-    tphi_raw = noise.get("tphi_us")
-    tphi = (math.inf, math.inf) if tphi_raw is None else _as_pair(tphi_raw, "noise.tphi_us")
+    for key in ("kappa1_mhz", "kappa2_mhz"):
+        _require(_is_number(noise[key]), f"{key} must be a finite number, got {noise[key]!r}")
+    t1 = _noise_times(noise["t1_us"], "t1_us")
+    # a null Tphi turns dephasing off, like an infinite one
+    tphi = _noise_times(math.inf if noise["tphi_us"] is None else noise["tphi_us"], "tphi_us")
     return NoiseSpec(TWO_PI * float(noise["kappa1_mhz"]), TWO_PI * float(noise["kappa2_mhz"]),
                      t1_q1=t1[0], t1_q2=t1[1], tphi_q1=tphi[0], tphi_q2=tphi[1])
 
@@ -660,12 +665,19 @@ def _summarize(cfg: dict, columns, rows) -> dict:
     return summary
 
 
-def _job_wrapper(args):
-    cfg, index, job = args
+def _job_outcome(cfg: dict, job) -> tuple:
+    """(rows, None), or ([], the error) when the job raises."""
     try:
-        return (index, _run_job(cfg, job), None)
+        return _run_job(cfg, job), None
     except Exception as exc:  # noqa: BLE001 - worker errors are data
-        return (index, [], f"{type(exc).__name__}: {exc}")
+        return [], f"{type(exc).__name__}: {exc}"
+
+
+def _collect(future) -> tuple:
+    try:
+        return future.result()
+    except BrokenExecutor as exc:  # the worker died, as under an out-of-memory kill
+        return [], f"{type(exc).__name__}: {exc}"
 
 
 def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult:
@@ -676,20 +688,16 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     """
     cfg = validate_config(raw_config)
     spec = KINDS[cfg["kind"]]
-    payloads = [(cfg, i, job) for i, job in enumerate(spec.jobs(cfg))]
-    if workers is not None and workers > 1 and len(payloads) > 1:
+    jobs = spec.jobs(cfg)
+    if workers is not None and workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_job_wrapper, payloads))
+            futures = [pool.submit(_job_outcome, cfg, job) for job in jobs]
+            outcomes = [_collect(f) for f in futures]
     else:
-        outcomes = [_job_wrapper(p) for p in payloads]
-    outcomes.sort(key=lambda o: o[0])
-    rows: list = []
-    failures: list = []
-    for index, job_rows, error in outcomes:
-        if error is not None:
-            failures.append((index, error))
-        else:
-            rows.extend(job_rows)
+        outcomes = [_job_outcome(cfg, job) for job in jobs]
+    # a failed job has no rows
+    rows = [row for job_rows, _ in outcomes for row in job_rows]
+    failures = [(i, error) for i, (_, error) in enumerate(outcomes) if error is not None]
     summary = _summarize(cfg, spec.columns, rows)
     metadata = {
         "artifact_version": __version__,
@@ -705,17 +713,39 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
 
 
 def write_csv(path, columns, rows):
-    """Write a header line and one line per row, floats as %.12g."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    """Write a header line and one line per row, floats as %.12g; a cell
+    that holds a comma is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_result(path) -> SweepResult:
+    """Read back what :func:`write_result` wrote: `path` is the output
+    directory or its result.csv, with summary.json beside it.  Cells that
+    parse as numbers come back as floats."""
+    if os.path.isdir(path):
+        path = os.path.join(path, "result.csv")
+    with open(os.path.join(os.path.dirname(path), "summary.json"), encoding="utf-8") as fh:
+        saved = json.load(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    _require(len(table) > 0 and "metadata" in saved, f"{path} is not a stabsim result")
+    meta = saved["metadata"]
+    rows = tuple(tuple(_cell(c) for c in line) for line in table[1:])
+    return SweepResult(meta["kind"], tuple(table[0]), rows, saved["summary"], meta)
 
 
 def write_result(result: SweepResult, outdir) -> dict:
     """Write result.csv and summary.json; returns the file paths."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "result.csv")
     write_csv(csv_path, result.columns, result.rows)

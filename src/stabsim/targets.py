@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, fix_eigenvector_phases
+from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, eigendecompose
 
 TWO_QUBIT_LAYOUT = SpaceLayout((("q1", 2), ("q2", 2)))
 
@@ -196,8 +196,7 @@ def rabi_dressed_state(delta: float, a1: float, omega: float):
         positive; the coefficients are returned for cross-checking only.
     """
     coeffs = rabi_dressed_coefficients(delta, a1, omega)
-    _, vecs = np.linalg.eigh(rabi_dressed_block(delta, a1, omega).entries)
-    ground = fix_eigenvector_phases(vecs[:, :1])[:, 0]
+    ground = eigendecompose(rabi_dressed_block(delta, a1, omega)).vector(0)
     target = _normalized("rabi_dressed", (delta, a1, omega), ground)
     return coeffs, target
 

@@ -321,6 +321,12 @@ class TestBuildLindblad:
         problem = build_lindblad(h, noise)
         assert len(problem.collapse_ops) == 4
 
+    @pytest.mark.parametrize("kappas", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_resonator_decay_rejected(self, kappas):
+        # an infinite time turns a channel off, but an infinite rate is no channel to drop
+        with pytest.raises(ValueError):
+            NoiseSpec(*kappas, 10.0, 10.0)
+
     def test_measured_rates(self):
         h = build_even_parity_system(1.0, 0.0, 0.1, 0.1, LAYOUT)
         noise = NoiseSpec(

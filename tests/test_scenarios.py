@@ -1,6 +1,10 @@
+import csv
+import functools
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -107,6 +111,18 @@ class TestValidation:
         ("time_domain", {"grid": 5}),
         ("kappa_sweep", {"families": "psi"}),
         ("parity_switch", {"segments": [{"parity": "even"}]}),
+        ("time_domain", {"seed": None}),
+        ("kappa_sweep", {"seed": "x"}),
+        ("tphi_sweep", {"seed": 1.7}),
+        ("rabi_dressed_map", {"seed": True}),
+        ("theta_spectroscopy", {"swap_colors": "yes"}),
+        ("time_domain", {"noise": {"kappa1_mhz": "0.3"}}),
+        ("omega_kappa_map", {"noise": {"kappa1_mhz": True}}),
+        ("tphi_sweep", {"families": ["psi"], "grid": {"tphi_us": [20.0]},
+                        "noise": {"kappa1_mhz": math.inf}}),
+        ("dressed_parity_sweep", {"noise": {"t1_us": [True, "12"]}}),
+        ("tphi_sweep", {"grid": {"tphi_us": [[10.0]]}}),
+        ("time_domain", {"family": {"psi": 1}}),
     ])
     def test_bad_input_rejected(self, kind, override):
         with pytest.raises(ConfigError):
@@ -252,6 +268,26 @@ class TestRunScenario:
         assert "synthetic point failure" in result.failures[0][1]
         assert len(result.rows) == 2
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patched job runs in forked workers")
+    def test_crashed_worker_becomes_job_failure(self, monkeypatch):
+        original = scenarios._run_job
+
+        def crashing(cfg, job):
+            if job == ("psi", 1.0):
+                os._exit(1)  # the worker dies, as under an out-of-memory kill
+            return original(cfg, job)
+
+        monkeypatch.setattr(scenarios, "_run_job", crashing)
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        result = run_scenario(SMALL_KAPPA_SWEEP, workers=2)
+        failed = {index for index, _ in result.failures}
+        ratios = SMALL_KAPPA_SWEEP["grid"]["kappa_over_w"]
+        done = {ratios.index(row[1]) for row in result.rows}
+        assert 1 in failed and not failed & done
+        assert failed | done == set(range(len(ratios)))
+
     def test_family_without_rows_left_out_of_kappa_peaks(self, monkeypatch):
         original = scenarios._run_job
 
@@ -348,13 +384,11 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out_dir), "--workers", "1"]) == 0
         assert main(["compare", str(out_dir), "--analytic"]) == 0
         columns, rows = compare_analytic(run_scenario(config, workers=1))
-        header, *lines = (out_dir / "compare.csv").read_text().splitlines()
-        assert header.split(",") == list(columns)
+        with open(out_dir / "compare.csv", newline="", encoding="utf-8") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == list(columns)
         assert len(lines) == len(rows) > 0
-        for line, row in zip(lines, rows):
-            # only the first cell may be text, and an omega_kappa_map label holds
-            # an unquoted comma, so split off the numeric cells from the right
-            cells = line.rsplit(",", len(row) - 1)
+        for cells, row in zip(lines, rows):
             assert len(cells) == len(row)
             for cell, value in zip(cells, row):
                 if isinstance(value, str):
@@ -366,6 +400,25 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"kind": "nope"}))
         assert main(["validate", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("command,text", [
+        ("run", '{"kind": "time_domain", "drives": {"omega_mhz": -1.0}}'),
+        ("validate", '{"kind": "time_domain", "seed": null}'),
+        ("run", "{not json"),
+        ("validate", None),  # no such file
+        ("compare", '{"kind": "time_domain", "grid": {"t_max_us": 0.5, "dt_us": 0.25}}'),
+    ], ids=["bad-config", "null-seed", "not-json", "missing-file", "no-analytic-counterpart"])
+    def test_error_is_one_line_and_exit_1(self, command, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        argv = [command, str(path)]
+        if text is not None:
+            path.write_text(text)
+        if command == "compare":  # a time_domain result has no analytic counterpart
+            assert main(["run", str(path), "--out", str(tmp_path), "--workers", "1"]) == 0
+            argv = ["compare", str(tmp_path), "--analytic"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
