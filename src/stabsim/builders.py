@@ -36,10 +36,6 @@ COLORS = ("red", "blue")
 MATCHING_TOL = 1e-6
 DEGENERATE_GAP_TOL = 1e-12
 
-# local 2x2 qubit ladder operators, basis (g, e)
-_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_SIGMA_PLUS = _SIGMA_MINUS.conj().T
-
 
 class EnergyMatchingError(ValueError):
     """The two-qubit block violates E_A + E_D = E_B + E_C."""
@@ -134,31 +130,25 @@ class LindbladProblem:
         return self.hamiltonian.layout
 
 
-def qr_coupling(layout: SpaceLayout, pair: int, color: str, rate: float) -> np.ndarray:
-    """(rate/2)(a_q a_r + h.c.) for blue, (rate/2)(a_q^dag a_r + h.c.) for red."""
-    _check_color(color)
-    aq = annihilation(layout, f"q{pair}").entries
-    ar = annihilation(layout, f"r{pair}").entries
-    term = (aq if color == "blue" else aq.conj().T) @ ar
-    return (rate / 2.0) * (term + term.conj().T)
-
-
 def assemble(
     hqq: ComplexOperator, qr1: SidebandDrive, qr2: SidebandDrive, layout: SpaceLayout
 ) -> ComplexOperator:
     """Full-system Hamiltonian: a two-qubit block plus one sideband per pair.
 
-    H = hqq (x) 1 + qr_coupling(1) + qr_coupling(2)
+    H = hqq (x) 1 + (W1/2)(o_q1 a_r1 + h.c.) + (W2/2)(o_q2 a_r2 + h.c.)
         + det1 n_r1 + det2 n_r2
-    with each resonator's photon energy taken from its sideband detuning.
+    with o_q = a_q for a blue sideband and a_q^dag for a red one, and each
+    resonator's photon energy taken from its sideband detuning.
     """
     res_dim = layout.total_dim // 4
+    a = {label: annihilation(layout, label).entries for label in ("q1", "q2", "r1", "r2")}
     h = np.kron(hqq.entries, np.eye(res_dim, dtype=complex))
-    h += qr_coupling(layout, 1, qr1.color, qr1.rate)
-    h += qr_coupling(layout, 2, qr2.color, qr2.rate)
+    for aq, ar, drive in ((a["q1"], a["r1"], qr1), (a["q2"], a["r2"], qr2)):
+        term = (aq if drive.color == "blue" else aq.conj().T) @ ar
+        h += (drive.rate / 2.0) * (term + term.conj().T)
     h += (
-        qr1.detuning * number_op(layout, "r1").entries
-        + qr2.detuning * number_op(layout, "r2").entries
+        qr1.detuning * (a["r1"].conj().T @ a["r1"])
+        + qr2.detuning * (a["r2"].conj().T @ a["r2"])
     )
     return ComplexOperator(layout, h)
 
@@ -285,8 +275,8 @@ def _refill_coupling(eigen: EigenSystem, qubit: int, color: str) -> np.ndarray:
     A blue sideband refills the target through o_q = a_q^dag (the photon
     is created together with a qubit excitation), a red one through
     o_q = a_q."""
-    local = _SIGMA_PLUS if color == "blue" else _SIGMA_MINUS
-    op = np.kron(local, np.eye(2)) if qubit == 1 else np.kron(np.eye(2), local)
+    aq = annihilation(TWO_QUBIT_LAYOUT, f"q{qubit}").entries
+    op = aq.conj().T if color == "blue" else aq
     a = eigen.vector(0)
     return np.abs(a.conj() @ op @ eigen.vectors)
 
@@ -307,7 +297,7 @@ def plan_stabilization(
     and ValueError when the ground state is degenerate (E_B - E_A at most
     ``DEGENERATE_GAP_TOL`` relative to max|E|).
     """
-    if hqq.dim != 4:
+    if hqq.entries.shape != (4, 4):
         raise ValueError("plan_stabilization expects a 4x4 two-qubit block")
     for color in colors:
         _check_color(color)
@@ -359,7 +349,7 @@ def build_lindblad(h: ComplexOperator, noise: NoiseSpec) -> LindbladProblem:
     ops = []
     for label, rate in (("r1", noise.kappa1), ("r2", noise.kappa2)):
         if label in layout.labels:
-            ops.append(math.sqrt(rate) * annihilation(layout, label))
+            ops.append(math.sqrt(rate) * annihilation(layout, label).entries)
     for label, t1, tphi in (
         ("q1", noise.t1_q1, noise.tphi_q1),
         ("q2", noise.t1_q2, noise.tphi_q2),
@@ -367,7 +357,7 @@ def build_lindblad(h: ComplexOperator, noise: NoiseSpec) -> LindbladProblem:
         if label not in layout.labels:
             continue
         if math.isfinite(t1):
-            ops.append(math.sqrt(1.0 / t1) * annihilation(layout, label))
+            ops.append(math.sqrt(1.0 / t1) * annihilation(layout, label).entries)
         if math.isfinite(tphi):
-            ops.append(math.sqrt(2.0 / tphi) * number_op(layout, label))
-    return LindbladProblem(h, tuple(ops))
+            ops.append(math.sqrt(2.0 / tphi) * number_op(layout, label).entries)
+    return LindbladProblem(h, tuple(ComplexOperator(layout, op) for op in ops))

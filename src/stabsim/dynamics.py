@@ -89,14 +89,14 @@ def _rk4_propagator(gen: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid, states and per-time metrics against a declared target."""
+    """Time grid, states and, when a target is declared, per-time metrics."""
 
     times: np.ndarray
     states: tuple
-    target: Optional[StabilizationTarget]
-    fidelity: Optional[np.ndarray]
-    purity: Optional[np.ndarray]
-    parity: Optional[np.ndarray]
+    target: Optional[StabilizationTarget] = None
+    fidelity: Optional[np.ndarray] = None
+    purity: Optional[np.ndarray] = None
+    parity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -121,23 +121,11 @@ def _qubit_metrics(state: DensityMatrix, target: StabilizationTarget):
     )
 
 
-def _make_trajectory(times, states, target) -> Trajectory:
-    if target is None:
-        return Trajectory(np.asarray(times), tuple(states), None, None, None, None)
-    metrics = np.array([_qubit_metrics(s, target) for s in states], dtype=float)
-    return Trajectory(
-        np.asarray(times),
-        tuple(states),
-        target,
-        metrics[:, 0].copy(),
-        metrics[:, 1].copy(),
-        metrics[:, 2].copy(),
-    )
-
-
 def _check_grid(grid: np.ndarray):
     if grid.size < 1:
         raise ValueError("time grid must not be empty")
+    if not np.isfinite(grid).all():
+        raise ValueError("time grid must be finite")
     if grid[0] < 0:
         raise ValueError("time grid must start at t >= 0")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
@@ -193,7 +181,10 @@ def evolve(
         for _ in range(n):
             vec = p @ vec
         states.append(_wrap_state(layout, vec.reshape(d, d), t1))
-    return _make_trajectory(grid, states, target)
+    if target is None:
+        return Trajectory(grid, states)
+    metrics = np.array([_qubit_metrics(s, target) for s in states], dtype=float)
+    return Trajectory(grid, states, target, *metrics.T)
 
 
 def steady_state(problem: LindbladProblem) -> DensityMatrix:
@@ -282,7 +273,6 @@ class DriveSchedule:
 def evolve_schedule(
     schedule: DriveSchedule,
     grid: Sequence[float],
-    target: Optional[StabilizationTarget] = None,
     max_step: Optional[float] = None,
 ) -> Trajectory:
     """Evolve through the schedule's segments, keeping the state continuous.
@@ -317,7 +307,7 @@ def evolve_schedule(
         states += [sub.states[0]] * n_start + list(sub.states[1:1 + seg_times.size - n_start])
         rho = sub.states[-1]
         t_start = t_end
-    return _make_trajectory(grid[:len(states)], states, target)
+    return Trajectory(grid[:len(states)], states)
 
 
 class FitError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Composite Hilbert-space layout and dense complex operator algebra.
+"""Composite Hilbert-space layout, dense operators and validated states.
 
 The simulations run on a small composite space of two qubits and two
 resonators, ordered (q1, q2, r1, r2) with basis index
@@ -17,7 +17,7 @@ load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,56 +124,34 @@ class SpaceLayout:
         return SpaceLayout(subs)
 
 
-def _as_square_complex(entries) -> np.ndarray:
+def _checked_entries(entries, layout: SpaceLayout, what: str) -> np.ndarray:
+    """Read-only complex copy of a square matrix of the layout's dimension."""
     arr = np.array(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise LayoutError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.shape[0] != layout.total_dim:
+        raise LayoutError(
+            f"{what} dimension {arr.shape[0]} does not match layout dimension {layout.total_dim}"
+        )
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class ComplexOperator:
-    """Dense complex operator on a :class:`SpaceLayout`.
-
-    The `hermitian` flag is computed on construction and set only when
-    max|M - M^dag| < 1e-9 element-wise.
-    """
+    """Dense complex operator on a :class:`SpaceLayout`."""
 
     layout: SpaceLayout
     entries: np.ndarray
-    hermitian: bool = field(init=False)
 
     def __post_init__(self):
-        arr = _as_square_complex(self.entries)
-        if arr.shape[0] != self.layout.total_dim:
-            raise LayoutError(
-                f"operator dimension {arr.shape[0]} does not match layout dimension "
-                f"{self.layout.total_dim}"
-            )
-        object.__setattr__(self, "entries", arr)
-        herm = bool(np.max(np.abs(arr - arr.conj().T)) < HERMITIAN_ATOL) if arr.size else True
-        object.__setattr__(self, "hermitian", herm)
+        object.__setattr__(self, "entries", _checked_entries(self.entries, self.layout, "operator"))
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def dag(self) -> "ComplexOperator":
-        return ComplexOperator(self.layout, self.entries.conj().T)
-
-    def _check_layout(self, other: "ComplexOperator"):
-        if self.layout != other.layout:
-            raise LayoutError("operators live on different layouts")
-
-    def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_layout(other)
-        return ComplexOperator(self.layout, self.entries @ other.entries)
-
-    def __mul__(self, scalar) -> "ComplexOperator":
-        return ComplexOperator(self.layout, self.entries * complex(scalar))
-
-    __rmul__ = __mul__
+    def hermitian(self) -> bool:
+        """Whether max|M - M^dag| < 1e-9 element-wise."""
+        arr = self.entries
+        return bool(np.max(np.abs(arr - arr.conj().T)) < HERMITIAN_ATOL)
 
 
 class StateError(ValueError):
@@ -184,9 +162,10 @@ class StateError(ValueError):
 class DensityMatrix:
     """Validated quantum state on a layout.
 
-    Construction checks hermiticity (1e-9), unit trace (default 1e-9) and
-    positivity (default min eigenvalue >= -1e-8).  Looser tolerances can
-    be passed for states coming out of finite-step integration.
+    Construction checks finite entries, hermiticity (1e-9), unit trace
+    (default 1e-9) and positivity (default min eigenvalue >= -1e-8).
+    Looser tolerances can be passed for states coming out of finite-step
+    integration.
     """
 
     layout: SpaceLayout
@@ -195,13 +174,10 @@ class DensityMatrix:
     eig_tol: float = 1e-8
 
     def __post_init__(self):
-        arr = _as_square_complex(self.entries)
-        if arr.shape[0] != self.layout.total_dim:
-            raise LayoutError(
-                f"state dimension {arr.shape[0]} does not match layout dimension "
-                f"{self.layout.total_dim}"
-            )
+        arr = _checked_entries(self.entries, self.layout, "state")
         object.__setattr__(self, "entries", arr)
+        if not np.isfinite(arr).all():
+            raise StateError("state has non-finite entries")
         herm_err = np.max(np.abs(arr - arr.conj().T))
         if herm_err >= max(HERMITIAN_ATOL, self.trace_tol):
             raise StateError(f"not Hermitian: max|rho - rho^dag| = {herm_err:.3e}")
@@ -262,8 +238,8 @@ def annihilation(layout: SpaceLayout, subsystem: str) -> ComplexOperator:
 
 
 def number_op(layout: SpaceLayout, subsystem: str) -> ComplexOperator:
-    a = annihilation(layout, subsystem)
-    return a.dag() @ a
+    a = annihilation(layout, subsystem).entries
+    return ComplexOperator(layout, a.conj().T @ a)
 
 
 def fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
@@ -290,7 +266,7 @@ def eigendecompose(op: ComplexOperator) -> EigenSystem:
     Raises
     ------
     ValueError
-        If the operator's hermitian flag is not set.
+        If the operator is not Hermitian.
     """
     if not op.hermitian:
         raise ValueError("eigendecompose requires a Hermitian operator")

@@ -352,14 +352,14 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
     window = cfg["fit_window_us"]
     fits = []
     t_switch = 0.0
-    for seg in cfg["segments"][:-1]:
+    segments = cfg["segments"]
+    for seg, following in zip(segments, segments[1:]):
         t_switch += seg["duration_us"]
         mask = (times >= t_switch) & (times <= t_switch + window)
         if mask.sum() < 5:
             continue
         fit = fit_time_constant(times[mask], parity[mask])
-        next_parity = "even" if parity[mask][-1] > 0 else "odd"
-        fits.append({"switch_t_us": t_switch, "to_parity": next_parity,
+        fits.append({"switch_t_us": t_switch, "to_parity": following["parity"],
                      "tau_us": fit.tau, "residual": fit.residual})
     return {"switch_fits": fits}
 

@@ -13,6 +13,7 @@ from stabsim.dynamics import (
     DegenerateSteadyStateError,
     DriveSchedule,
     FitError,
+    IntegrationError,
     ScheduleSegment,
     evolve,
     evolve_schedule,
@@ -21,7 +22,7 @@ from stabsim.dynamics import (
     liouvillian,
     steady_state,
 )
-from stabsim.hilbert import ComplexOperator, DensityMatrix, SpaceLayout
+from stabsim.hilbert import ComplexOperator, DensityMatrix, SpaceLayout, annihilation
 from stabsim.targets import bell_psi_minus
 
 TWO_PI = 2 * math.pi
@@ -84,6 +85,21 @@ class TestEvolve:
             evolve(problem, rho0, [-1.0, 0.5])
         with pytest.raises(ValueError):
             evolve(problem, rho0, [])
+
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [0.0, math.nan], [math.nan]])
+    def test_non_finite_grid_rejected(self, grid):
+        problem = LindbladProblem(ComplexOperator(QUBIT, np.zeros((2, 2), dtype=complex)), ())
+        with pytest.raises(ValueError, match="time grid must be finite"):
+            evolve(problem, ground(QUBIT), grid)
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    def test_diverged_state_raises(self):
+        # a 10 us step against a unit decay rate blows RK4 up to NaN by t = 2000 us
+        h = ComplexOperator(QUBIT, np.zeros((2, 2), dtype=complex))
+        problem = LindbladProblem(h, (annihilation(QUBIT, "q1"),))
+        excited = DensityMatrix(QUBIT, np.diag([0.0, 1.0]).astype(complex))
+        with pytest.raises(IntegrationError, match="non-finite"):
+            evolve(problem, excited, [0.0, 2000.0], max_step=10.0)
 
     def test_step_halving_convergence(self):
         problem = build_lindblad(

@@ -69,7 +69,7 @@ class TestAnnihilation:
 
     def test_nilpotent_on_qubit(self):
         a = annihilation(LAYOUT, "q1")
-        assert np.max(np.abs((a @ a).entries)) == 0.0
+        assert np.max(np.abs(a.entries @ a.entries)) == 0.0
 
     def test_matrix_element_between_basis_states(self):
         # <gg00| a_q1 |eg00> = 1, checked against direct index arithmetic
@@ -244,3 +244,10 @@ class TestDensityMatrixValidation:
         bad[0, 1] = 0.5
         with pytest.raises(StateError):
             DensityMatrix(LAYOUT, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # every comparison with NaN is false, so no other check catches it
+        two_qubits = SpaceLayout((("q1", 2), ("q2", 2)))
+        with pytest.raises(StateError, match="non-finite"):
+            DensityMatrix(two_qubits, np.diag([bad, 1.0, 0.0, 0.0]))

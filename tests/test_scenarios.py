@@ -207,6 +207,20 @@ class TestRunScenario:
         fits = result.summary["switch_fits"]
         assert len(fits) == 1 and fits[0]["to_parity"] == "odd"
 
+    def test_switch_fit_reports_configured_parity(self):
+        # 0.05 us of even drive leaves the parity near +1 through the whole fit window
+        cfg = {
+            "kind": "parity_switch",
+            "fit_window_us": 0.5,
+            "grid": {"dt_us": 0.1},
+            "segments": [
+                {"parity": "even", "duration_us": 0.05},
+                {"parity": "odd", "duration_us": 1.0},
+            ],
+        }
+        fits = run_scenario(cfg).summary["switch_fits"]
+        assert [fit["to_parity"] for fit in fits] == ["odd"]
+
     def test_theta_spectroscopy_small(self):
         cfg = {
             "kind": "theta_spectroscopy",
