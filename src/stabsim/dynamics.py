@@ -8,9 +8,10 @@ is integrated with fixed-step classical 4th-order Runge-Kutta on the
 vectorized density matrix.  For this linear, time-independent generator
 the RK4 update is exactly the degree-4 truncated exponential, so the
 one-step propagator is precomputed once per step size and applied as a
-matrix-vector product.  Steady states come from the dense null space of
-the vectorized generator (smallest singular vector), Hermitized and
-trace-normalized.
+matrix-vector product.  A steady state solves the vectorized generator
+with its first row replaced by the trace functional, through one sparse LU
+factorization; the same factor gives the conditioning estimate that
+rejects a kernel that is not one-dimensional.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from .builders import RECIPES, LindbladProblem, NoiseSpec, build_lindblad
 from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, partial_trace
@@ -32,8 +35,11 @@ RATE_STEP_FACTOR = 50.0
 TRAJECTORY_TRACE_TOL = 1e-6
 TRAJECTORY_EIG_TOL = 1e-6
 
-# s[-2]/s[0] of the generator below which the steady state is not unique
+# estimated sigma_min/sigma_max of the trace-bordered generator (2-norm)
+# below which the steady state is not unique
 KERNEL_TOL = 1e-8
+# power steps taken at each end of that estimate
+CONDITION_STEPS = 4
 
 # how far (us) a schedule grid time may pass a segment's end and still sample it
 BOUNDARY_TOL = 1e-12
@@ -187,28 +193,64 @@ def evolve(
     return Trajectory(grid, states, target, *metrics.T)
 
 
-def steady_state(problem: LindbladProblem) -> DensityMatrix:
-    """Steady state from the dense null space of the vectorized generator.
+def _inverse_condition(mat, lu) -> float:
+    """Estimate of sigma_min/sigma_max of `mat` in the 2-norm.
 
-    The smallest right singular vector is reshaped, Hermitized and
-    normalized to unit trace.  A second singular value below
-    ``KERNEL_TOL`` times the largest signals a degenerate kernel and
-    raises :class:`DegenerateSteadyStateError`.
+    ``CONDITION_STEPS`` power steps on mat^H mat give sigma_max, and as many
+    on its inverse, through the LU factor `lu`, give 1/sigma_min.  Both
+    converge from below, so the estimate is never below the exact ratio.
+    The start vector is fixed, so the estimate is deterministic.
     """
-    gen = liouvillian(problem)
-    _, s, vt = np.linalg.svd(gen)
-    scale = max(float(s[0]), 1e-300)
-    if s.size > 1 and s[-2] < KERNEL_TOL * scale:
-        raise DegenerateSteadyStateError(
-            f"generator kernel is degenerate (s[-2]/s[0] = {s[-2] / scale:.3e})"
-        )
+    rng = np.random.default_rng(0)
+    n = mat.shape[0]
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
+    adjoint = mat.conj().T
+    v = start
+    for _ in range(CONDITION_STEPS):
+        u = mat @ v
+        sigma_max = np.linalg.norm(u)
+        v = adjoint @ u
+        v /= np.linalg.norm(v)
+    v = start
+    for _ in range(CONDITION_STEPS):
+        u = lu.solve(v)
+        inv_sigma_min = np.linalg.norm(u)
+        v = lu.solve(u, trans="H")
+        v /= np.linalg.norm(v)
+    return float(1.0 / (inv_sigma_min * sigma_max))
+
+
+def steady_state(problem: LindbladProblem) -> DensityMatrix:
+    """Steady state from one sparse LU solve of the trace-bordered generator.
+
+    Row 0 of the vectorized generator (the rho_00 equation, which the
+    others imply because the generator preserves the trace) is replaced by
+    the trace functional vec(I), and the system is solved for unit trace.
+    The solution is reshaped, Hermitized and normalized to unit trace.  An
+    exactly singular factor, or an estimated sigma_min/sigma_max of the
+    bordered matrix below ``KERNEL_TOL``, signals a kernel that is not
+    one-dimensional and raises :class:`DegenerateSteadyStateError`.
+    """
     d = problem.layout.total_dim
-    rho = vt[-1].conj().reshape(d, d)
+    gen = liouvillian(problem)
+    gen[0] = 0.0
+    gen[0, :: d + 1] = 1.0
+    bordered = csc_array(gen)
+    try:
+        lu = splu(bordered)
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
+    ratio = _inverse_condition(bordered, lu)
+    if not ratio >= KERNEL_TOL:
+        raise DegenerateSteadyStateError(
+            f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})"
+        )
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    rho = lu.solve(rhs).reshape(d, d)
     rho = (rho + rho.conj().T) / 2.0
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace) < 1e-12:
-        raise DegenerateSteadyStateError("kernel vector has vanishing trace")
-    rho = rho / trace
+    rho = rho / float(np.real(np.trace(rho)))
     return DensityMatrix(problem.layout, rho, trace_tol=1e-9, eig_tol=1e-7)
 
 

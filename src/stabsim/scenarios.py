@@ -684,8 +684,11 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     """Validate, run and summarize one scenario.
 
     Results are deterministic for a fixed config and seed, and
-    independent of `workers` (rows merge by grid index).
+    independent of `workers` (rows merge by grid index).  `workers` None
+    runs serially; an integer below 1 raises :class:`ConfigError`.
     """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     cfg = validate_config(raw_config)
     spec = KINDS[cfg["kind"]]
     jobs = spec.jobs(cfg)

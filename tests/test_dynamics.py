@@ -1,15 +1,23 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from stabsim.builders import (
+    RECIPES,
     NoiseSpec,
+    build_color_variant,
     build_even_parity_system,
     build_lindblad,
     LindbladProblem,
 )
 from stabsim.dynamics import (
+    _inverse_condition,
     DegenerateSteadyStateError,
     DriveSchedule,
     FitError,
@@ -181,6 +189,52 @@ class TestSteadyState:
         h = ComplexOperator(QUBIT, np.zeros((2, 2), dtype=complex))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(LindbladProblem(h, ()))
+
+    # H = 0 leaves a 2-D kernel under dephasing; a 1e-5 drive leaves s[-2]/s[0] = 1e-10
+    @pytest.mark.parametrize("drive", [0.0, 1e-5])
+    def test_dephasing_qubit_kernel_detected(self, drive):
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        problem = LindbladProblem(ComplexOperator(QUBIT, drive * sx), (ComplexOperator(QUBIT, sz),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(problem)
+
+
+def _random_problems(count=20):
+    """Seeded d = 16 problems over every recipe, qubit T1/Tphi on and off."""
+    rng = np.random.default_rng(7)
+    cases = itertools.islice(itertools.cycle(itertools.product(RECIPES, (True, False))), count)
+    for recipe, qubit_noise in cases:
+        omega, delta, w1, w2, kappa1, kappa2 = TWO_PI * rng.uniform(
+            [0.5, -0.5, 0.2, 0.2, 0.2, 0.2], [3.0, 0.5, 1.0, 1.0, 0.6, 0.6]
+        )
+        times = rng.uniform(8.0, 40.0, 4) if qubit_noise else [math.inf] * 4
+        h = build_color_variant(omega, delta, w1, w2, recipe, LAYOUT)
+        yield build_lindblad(h, NoiseSpec(kappa1, kappa2, *times))
+
+
+class TestSteadyStateReference:
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_matches_null_space(self, problem):
+        kernel = scipy.linalg.null_space(liouvillian(problem))
+        assert kernel.shape[1] == 1
+        expected = kernel[:, 0].reshape(16, 16)
+        expected = expected / np.trace(expected)
+        assert np.max(np.abs(steady_state(problem).entries - expected)) < 1e-12
+
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_condition_estimate_within_factor_two(self, problem):
+        bordered = liouvillian(problem)
+        bordered[0] = 0.0
+        bordered[0, ::17] = 1.0
+        s = np.linalg.svd(bordered, compute_uv=False)
+        exact = s[-1] / s[0]
+        sparse = csc_array(bordered)
+        estimate = _inverse_condition(sparse, splu(sparse))
+        assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
 
 class TestSchedule:

@@ -434,6 +434,15 @@ class TestCli:
         assert main(argv) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_run_rejects_workers_below_one(self, workers, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_KAPPA_SWEEP))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--workers", workers]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
