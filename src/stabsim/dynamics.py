@@ -4,14 +4,16 @@ The master equation
 
     drho/dt = -i [H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)
 
-is integrated with fixed-step classical 4th-order Runge-Kutta on the
-vectorized density matrix.  For this linear, time-independent generator
-the RK4 update is exactly the degree-4 truncated exponential, so the
-one-step propagator is precomputed once per step size and applied as a
-matrix-vector product.  A steady state solves the vectorized generator
-with its first row replaced by the trace functional, through one sparse LU
-factorization; the same factor gives the conditioning estimate that
-rejects a kernel that is not one-dimensional.
+is vectorized row-major in effective-Hamiltonian form, with one Kronecker
+term per jump operator: -i (H_eff (x) I - I (x) conj(H_eff)) + sum_k
+L_k (x) conj(L_k), where H_eff = H - (i/2) sum_k L_k^dag L_k.  It is
+integrated with fixed-step classical 4th-order Runge-Kutta; for this
+linear, time-independent generator the RK4 update is exactly the degree-4
+truncated exponential, so the one-step propagator is precomputed once per
+step size and applied as a matrix-vector product.  A steady state solves
+the vectorized generator with its first row replaced by the trace
+functional, through one sparse LU factorization; the same factor gives the
+conditioning estimate that rejects a kernel that is not one-dimensional.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ CONDITION_STEPS = 4
 # how far (us) a schedule grid time may pass a segment's end and still sample it
 BOUNDARY_TOL = 1e-12
 
+# a fitted parameter within FIT_BOUND_TOL (1 + |bound|) of a bound ends on it
+FIT_BOUND_TOL = 1e-9
+
 
 class IntegrationError(RuntimeError):
     """The integrator produced a state outside physical tolerances."""
@@ -54,16 +59,14 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 def liouvillian(problem: LindbladProblem) -> np.ndarray:
-    """Dense generator acting on row-major vectorized density matrices."""
-    h = problem.hamiltonian.entries
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    """Dense H_eff-form generator acting on row-major vectorized density matrices."""
+    h_eff = problem.hamiltonian.entries.astype(complex)
     for op in problem.collapse_ops:
-        l = op.entries
-        ldl = l.conj().T @ l
-        gen += np.kron(l, l.conj())
-        gen -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        h_eff -= 0.5j * (op.entries.conj().T @ op.entries)
+    eye = np.eye(h_eff.shape[0], dtype=complex)
+    gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for op in problem.collapse_ops:
+        gen += np.kron(op.entries, op.entries.conj())
     return gen
 
 
@@ -115,11 +118,7 @@ class Trajectory:
 
 
 def _qubit_metrics(state: DensityMatrix, target: StabilizationTarget):
-    if set(state.layout.labels) == {"q1", "q2"}:
-        reduced = state
-    else:
-        reduced = partial_trace(state, {"q1", "q2"})
-    arr = reduced.entries
+    arr = partial_trace(state, {"q1", "q2"}).entries
     return (
         state_fidelity(arr, target),
         purity(arr),
@@ -364,12 +363,13 @@ class TimeConstantFit:
     residual: float
 
 
-def fit_time_constant(times, values, direction: str = "auto") -> TimeConstantFit:
+def fit_time_constant(times, values) -> TimeConstantFit:
     """Least-squares fit of v(t) = v_inf + (v0 - v_inf) exp(-(t - t0)/tau).
 
-    `direction` ("up", "down" or "auto") sets the initial guess for
-    whether the trace rises or decays.  Needs at least 5 samples; a
-    non-convergent fit raises :class:`FitError`.
+    The first and last samples are the initial guesses for v0 and v_inf.
+    Needs at least 5 samples.  A fit that does not converge, or that ends
+    with a parameter on its bound (tau at 1e-6 or 100 x the window span,
+    v0 or v_inf at +-2), raises :class:`FitError`.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -377,31 +377,23 @@ def fit_time_constant(times, values, direction: str = "auto") -> TimeConstantFit
         raise ValueError("times and values must have equal length")
     if t.size < 5:
         raise ValueError("need at least 5 samples after the switch to fit")
-    if direction not in ("up", "down", "auto"):
-        raise ValueError(f"unknown direction {direction!r}")
     t0 = t[0]
 
     def model(tt, tau, v0, v_inf):
         return v_inf + (v0 - v_inf) * np.exp(-(tt - t0) / tau)
 
-    if direction == "auto":
-        v0_guess, vinf_guess = v[0], v[-1]
-    elif direction == "up":
-        v0_guess, vinf_guess = min(v[0], v[-1]), max(v[0], v[-1])
-    else:
-        v0_guess, vinf_guess = max(v[0], v[-1]), min(v[0], v[-1])
     span = max(t[-1] - t0, 1e-9)
+    lower, upper = np.array([1e-6, -2.0, -2.0]), np.array([100.0 * span, 2.0, 2.0])
     try:
-        popt, _ = curve_fit(
-            model,
-            t,
-            v,
-            p0=[span / 5.0, v0_guess, vinf_guess],
-            bounds=([1e-6, -2.0, -2.0], [100.0 * span, 2.0, 2.0]),
-            maxfev=20000,
-        )
+        popt, _ = curve_fit(model, t, v, p0=[span / 5.0, v[0], v[-1]],
+                            bounds=(lower, upper), maxfev=20000)
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"exponential fit failed: {exc}") from exc
+    # the bounds only keep the search finite: a fit that ends on one has no interior
+    # minimum, and its tau says where the bound lies, not how fast the trace moves
+    if any(np.isclose(popt, b, rtol=FIT_BOUND_TOL, atol=FIT_BOUND_TOL).any()
+           for b in (lower, upper)):
+        raise FitError(f"exponential fit ended on a parameter bound (tau, v0, v_inf = {popt})")
     tau, v0, v_inf = (float(x) for x in popt)
     residual = float(np.sqrt(np.mean((model(t, *popt) - v) ** 2)))
     return TimeConstantFit(tau, v0, v_inf, residual)

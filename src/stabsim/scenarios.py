@@ -45,6 +45,7 @@ from .builders import (
 )
 from .dynamics import (
     DriveSchedule,
+    FitError,
     ScheduleSegment,
     evolve,
     evolve_schedule,
@@ -358,7 +359,10 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
         mask = (times >= t_switch) & (times <= t_switch + window)
         if mask.sum() < 5:
             continue
-        fit = fit_time_constant(times[mask], parity[mask])
+        try:
+            fit = fit_time_constant(times[mask], parity[mask])
+        except FitError:  # no time constant in this window
+            continue
         fits.append({"switch_t_us": t_switch, "to_parity": following["parity"],
                      "tau_us": fit.tau, "residual": fit.residual})
     return {"switch_fits": fits}

@@ -14,6 +14,7 @@ from stabsim.builders import (
     build_color_variant,
     build_even_parity_system,
     build_lindblad,
+    build_odd_parity_system,
     LindbladProblem,
 )
 from stabsim.dynamics import (
@@ -122,14 +123,20 @@ class TestEvolve:
 
 
 class TestLiouvillian:
-    def test_action_matches_master_equation(self):
-        problem = build_lindblad(
-            build_even_parity_system(1.3, 0.2, 0.4, 0.3, LAYOUT),
-            NoiseSpec(kappa1=0.5, kappa2=0.7, t1_q1=9.0, t1_q2=7.0, tphi_q1=11.0),
-        )
+    @pytest.mark.parametrize("builder, layout, noise", [
+        (build_even_parity_system, LAYOUT,
+         NoiseSpec(kappa1=0.5, kappa2=0.7, t1_q1=9.0, t1_q2=7.0, tphi_q1=11.0)),
+        # d = 36, with every collapse-operator kind: resonator decay, qubit decay
+        # and dephasing on both qubits
+        (build_odd_parity_system, SpaceLayout((("q1", 2), ("q2", 2), ("r1", 3), ("r2", 3))),
+         NoiseSpec(kappa1=0.5, kappa2=0.7, t1_q1=9.0, t1_q2=7.0, tphi_q1=11.0, tphi_q2=13.0)),
+    ], ids=["d16", "d36"])
+    def test_action_matches_master_equation(self, builder, layout, noise):
+        problem = build_lindblad(builder(1.3, 0.2, 0.4, 0.3, layout), noise)
         gen = liouvillian(problem)
+        d = layout.total_dim
         rng = np.random.default_rng(0)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
         h = problem.hamiltonian.entries
@@ -139,7 +146,7 @@ class TestLiouvillian:
             expected += l @ rho @ l.conj().T - 0.5 * (
                 l.conj().T @ l @ rho + rho @ l.conj().T @ l
             )
-        applied = (gen @ rho.reshape(-1)).reshape(16, 16)
+        applied = (gen @ rho.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(applied - expected)) < 1e-12
 
     def test_trace_annihilation(self):
@@ -299,14 +306,14 @@ class TestFitTimeConstant:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 60)
         v = np.exp(-t / 2.0)
-        fit = fit_time_constant(t, v, direction="down")
+        fit = fit_time_constant(t, v)
         assert fit.tau == pytest.approx(2.0, abs=1e-6)
         assert fit.residual < 1e-10
 
     def test_rising_exponential_with_offset(self):
         t = np.linspace(0.0, 8.0, 50)
         v = 0.9 - 0.8 * np.exp(-t / 1.3)
-        fit = fit_time_constant(t, v, direction="up")
+        fit = fit_time_constant(t, v)
         assert fit.tau == pytest.approx(1.3, abs=1e-6)
         assert fit.v_inf == pytest.approx(0.9, abs=1e-8)
 
@@ -319,3 +326,10 @@ class TestFitTimeConstant:
         v = np.full(10, np.nan)
         with pytest.raises(FitError):
             fit_time_constant(t, v)
+
+    def test_fit_ending_on_a_bound_raises(self):
+        # a straight line has no interior least-squares exponential: the fit
+        # runs v_inf onto its -2 bound and reports a tau of about 3.36
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(FitError, match="bound"):
+            fit_time_constant(t, 0.7 - 0.7 * t)

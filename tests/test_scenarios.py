@@ -221,6 +221,22 @@ class TestRunScenario:
         fits = run_scenario(cfg).summary["switch_fits"]
         assert [fit["to_parity"] for fit in fits] == ["odd"]
 
+    def test_switch_fit_on_a_bound_is_left_out(self):
+        # over 1 us after the switch the parity trace is nearly straight, and its
+        # only least-squares exponential has v_inf on the -2 bound
+        cfg = {
+            "kind": "parity_switch",
+            "grid": {"dt_us": 0.1},
+            "fit_window_us": 1.0,
+            "segments": [
+                {"parity": "even", "duration_us": 1.5},
+                {"parity": "odd", "duration_us": 1.5},
+            ],
+        }
+        result = run_scenario(cfg)
+        assert result.summary["switch_fits"] == []
+        assert len(result.rows) == 31
+
     def test_theta_spectroscopy_small(self):
         cfg = {
             "kind": "theta_spectroscopy",
