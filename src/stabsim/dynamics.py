@@ -9,22 +9,25 @@ term per jump operator: -i (H_eff (x) I - I (x) conj(H_eff)) + sum_k
 L_k (x) conj(L_k), where H_eff = H - (i/2) sum_k L_k^dag L_k.  It is
 integrated with fixed-step classical 4th-order Runge-Kutta; for this
 linear, time-independent generator the RK4 update is exactly the degree-4
-truncated exponential, so the one-step propagator is precomputed once per
-step size and applied as a matrix-vector product.  A steady state solves
-the vectorized generator with its first row replaced by the trace
-functional, through one sparse LU factorization; the same factor gives the
-conditioning estimate that rejects a kernel that is not one-dimensional.
+truncated exponential P_h.  Grid intervals that repeat often enough to pay
+for it are crossed with one precomputed product P_h^n each; the others
+take n Horner-form steps of four sparse products with the generator.  A
+steady state solves the vectorized generator with its first row replaced
+by the trace functional, through one sparse LU factorization; the same
+factor gives the conditioning estimate that rejects a kernel that is not
+one-dimensional.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from .builders import RECIPES, LindbladProblem, NoiseSpec, build_lindblad
@@ -146,6 +149,20 @@ def _wrap_state(layout: SpaceLayout, mat: np.ndarray, when: float) -> DensityMat
         raise IntegrationError(f"state at t = {when:.6g} us left physical bounds: {exc}") from exc
 
 
+def _rk4_steps(gen, h: float, n: int, vec: np.ndarray) -> np.ndarray:
+    """`n` RK4 steps of size `h` in Horner form, four products with `gen` each.
+
+    Each step applies the polynomial of :func:`_rk4_propagator` without
+    forming it, so `gen` may be sparse.
+    """
+    for _ in range(n):
+        out = vec
+        for k in (4.0, 3.0, 2.0, 1.0):
+            out = vec + (h / k) * (gen @ out)
+        vec = out
+    return vec
+
+
 def evolve(
     problem: LindbladProblem,
     rho0: DensityMatrix,
@@ -157,10 +174,14 @@ def evolve(
 
     `rho0` is the state at the first grid time.  The integration step is
     at most min(0.005 us, 1/(50 x fastest rate)) unless `max_step`
-    overrides it; each grid interval is subdivided evenly so grid points
-    are hit exactly.  States that drift outside trace or positivity
-    tolerances raise :class:`IntegrationError` rather than passing
-    silently.
+    overrides it; each grid interval is subdivided evenly into n steps of
+    size h so grid points are hit exactly.  When the u intervals sharing
+    (h, n) would spend more flops on dense steps (u n d^4) than forming
+    P_h^n costs ((3 + m) d^6, m the products of the power), P_h^n is
+    formed once and applied once per interval; otherwise the n steps run
+    on the sparse generator.  States that drift outside trace or
+    positivity tolerances raise :class:`IntegrationError` rather than
+    passing silently.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
@@ -168,23 +189,33 @@ def evolve(
         raise ValueError("initial state layout does not match the problem")
     gen = liouvillian(problem)
     step = max_step if max_step is not None else default_step(problem)
-    if step <= 0:
-        raise ValueError("max_step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("max_step must be finite and positive")
     layout = problem.layout
     d = layout.total_dim
     vec = rho0.entries.reshape(-1).astype(complex)
     states = [_wrap_state(layout, vec.reshape(d, d), grid[0])]
-    propagators = {}
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        span = t1 - t0
+    keys = []
+    step_size = {}  # (round(h, 15), n) -> h of the first interval with that key
+    for span in np.diff(grid):
         n = max(1, int(math.ceil(span / step - 1e-12)))
-        h = span / n
-        key = round(h, 15)
-        if key not in propagators:
-            propagators[key] = _rk4_propagator(gen, h)
-        p = propagators[key]
-        for _ in range(n):
-            vec = p @ vec
+        key = (round(span / n, 15), n)
+        step_size.setdefault(key, span / n)
+        keys.append(key)
+    uses = Counter(keys)
+    propagators = {}
+    sparse = None
+    for key, t1 in zip(keys, grid[1:]):
+        h, n = step_size[key], key[1]
+        # 3 products form P_h and matrix_power takes bit_length + popcount - 2 more
+        if uses[key] * n > (3 + n.bit_length() + n.bit_count() - 2) * d * d:
+            if key not in propagators:
+                propagators[key] = np.linalg.matrix_power(_rk4_propagator(gen, h), n)
+            vec = propagators[key] @ vec
+        else:
+            if sparse is None:
+                sparse = csr_array(gen)
+            vec = _rk4_steps(sparse, h, n, vec)
         states.append(_wrap_state(layout, vec.reshape(d, d), t1))
     if target is None:
         return Trajectory(grid, states)

@@ -24,6 +24,8 @@ from stabsim.dynamics import (
     FitError,
     IntegrationError,
     ScheduleSegment,
+    _rk4_propagator,
+    default_step,
     evolve,
     evolve_schedule,
     fit_time_constant,
@@ -32,10 +34,12 @@ from stabsim.dynamics import (
     steady_state,
 )
 from stabsim.hilbert import ComplexOperator, DensityMatrix, SpaceLayout, annihilation
+from stabsim.scenarios import run_scenario
 from stabsim.targets import bell_psi_minus
 
 TWO_PI = 2 * math.pi
 LAYOUT = SpaceLayout()
+LAYOUT_D36 = SpaceLayout((("q1", 2), ("q2", 2), ("r1", 3), ("r2", 3)))
 QUBIT = SpaceLayout((("q1", 2),))
 
 DEVICE_NOISE = NoiseSpec(
@@ -50,6 +54,45 @@ def even_segment(duration, builder="even_parity"):
 
 def ground(layout):
     return DensityMatrix.from_ket(layout, layout.basis_state([0] * len(layout.subsystems)))
+
+
+def even_problem(layout):
+    return build_lindblad(
+        build_even_parity_system(TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, layout),
+        DEVICE_NOISE,
+    )
+
+
+@pytest.fixture
+def matrix_power_calls(monkeypatch):
+    """Records each np.linalg.matrix_power call, one per interval propagator evolve forms."""
+    calls = []
+    real = np.linalg.matrix_power
+
+    def counting(a, n):
+        calls.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    return calls
+
+
+def per_step_states(problem, rho0, grid):
+    """Reference for evolve: one dense RK4 propagator per step size, one product per step."""
+    gen = liouvillian(problem)
+    step = default_step(problem)
+    vec = rho0.entries.reshape(-1).astype(complex)
+    states = [vec]
+    propagators = {}
+    for span in np.diff(grid):
+        n = max(1, int(math.ceil(span / step - 1e-12)))
+        key = round(span / n, 15)
+        if key not in propagators:
+            propagators[key] = _rk4_propagator(gen, span / n)
+        for _ in range(n):
+            vec = propagators[key] @ vec
+        states.append(vec)
+    return states
 
 
 class TestEvolve:
@@ -110,6 +153,29 @@ class TestEvolve:
         with pytest.raises(IntegrationError, match="non-finite"):
             evolve(problem, excited, [0.0, 2000.0], max_step=10.0)
 
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    @pytest.mark.parametrize("layout, grid, regrouped", [
+        # 20 intervals of 200 steps each against d^2 = 4: the interval propagator is formed
+        (QUBIT, np.linspace(0.0, 40000.0, 21), True),
+        # one interval of 200 steps against d^2 = 256: sparse steps
+        (SpaceLayout((("q1", 2), ("r1", 8))), [0.0, 2000.0], False),
+    ], ids=["regrouped", "sparse"])
+    def test_diverged_state_raises_on_each_path(self, matrix_power_calls, layout, grid, regrouped):
+        # 10 us steps against a unit decay rate grow the excited population 291-fold a step
+        h = ComplexOperator(layout, np.zeros((layout.total_dim,) * 2, dtype=complex))
+        problem = LindbladProblem(h, (annihilation(layout, "q1"),))
+        excited = np.zeros(layout.total_dim)
+        excited[layout.total_dim // 2] = 1.0
+        with pytest.raises(IntegrationError, match="non-finite"):
+            evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=10.0)
+        assert bool(matrix_power_calls) == regrouped
+
+    @pytest.mark.parametrize("max_step", [math.nan, math.inf])
+    def test_rejects_non_finite_max_step(self, max_step):
+        problem = LindbladProblem(ComplexOperator(QUBIT, np.zeros((2, 2), dtype=complex)), ())
+        with pytest.raises(ValueError, match="max_step must be finite and positive"):
+            evolve(problem, ground(QUBIT), [0.0, 1.0], max_step=max_step)
+
     def test_step_halving_convergence(self):
         problem = build_lindblad(
             build_even_parity_system(TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, LAYOUT),
@@ -120,6 +186,30 @@ class TestEvolve:
         coarse = evolve(problem, ground(LAYOUT), grid, target=target, max_step=0.002)
         fine = evolve(problem, ground(LAYOUT), grid, target=target, max_step=0.001)
         assert abs(coarse.fidelity[-1] - fine.fidelity[-1]) < 1e-5
+
+
+class TestEvolvePaths:
+    """evolve regroups a repeated interval into P_h^n or steps the sparse generator;
+    both must give the states of one dense propagator product per step."""
+
+    @pytest.mark.parametrize("layout, grid, powers", [
+        (LAYOUT, np.linspace(0.0, 5.0, 21), [238]),  # 20 intervals of 238 steps: regrouped
+        (LAYOUT_D36, [0.0, 0.25, 0.5], []),  # 2 intervals of 398 steps: sparse
+    ], ids=["regrouped_d16", "sparse_d36"])
+    def test_matches_per_step_products(self, matrix_power_calls, layout, grid, powers):
+        problem = even_problem(layout)
+        traj = evolve(problem, ground(layout), grid)
+        assert matrix_power_calls == powers
+        for state, vec in zip(traj.states, per_step_states(problem, ground(layout), grid)):
+            assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
+
+    @pytest.mark.parametrize("config, powers", [
+        ({"kind": "time_domain"}, 1),
+        ({"kind": "time_domain", "resonator_dim": 3, "grid": {"t_max_us": 0.5, "dt_us": 0.25}}, 0),
+    ], ids=["default_d16", "two_intervals_d36"])
+    def test_path_choice(self, matrix_power_calls, config, powers):
+        run_scenario(config)
+        assert len(matrix_power_calls) == powers
 
 
 class TestLiouvillian:
