@@ -40,6 +40,10 @@ _ROTATIONS = {
     "Y90": (np.eye(2) - 1j * _SIGMA["Y"]) / _SQ2,
 }
 
+# the 15 non-identity two-qubit Pauli operators, labels and matrices in the same order
+_PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]
+_PAULIS = np.stack([np.kron(_SIGMA[a], _SIGMA[b]) for a, b in _PAULI_LABELS])
+
 DEFAULT_PRE_ROTATIONS = tuple(
     (a, b) for a in ("I", "X90", "Y90") for b in ("I", "X90", "Y90")
 )
@@ -62,8 +66,12 @@ class TomographySettings:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.shots_per_setting <= 0:
-            raise TomographyError("shots_per_setting must be positive")
+        for name, value, least in (
+            ("shots_per_setting", self.shots_per_setting, 1),
+            ("rng_seed", self.rng_seed, 0),
+        ):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise TomographyError(f"{name} must be an integer >= {least}, got {value!r}")
         rotations = tuple((str(a), str(b)) for a, b in self.pre_rotations)
         if not rotations:
             raise TomographyError("need at least one pre-rotation setting")
@@ -122,7 +130,14 @@ def _rho_array(rho) -> np.ndarray:
     arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if arr.shape != (4, 4):
         raise TomographyError(f"expected a 4x4 two-qubit state, got shape {arr.shape}")
+    if not np.isfinite(arr).all() or not np.trace(arr).real > 0:
+        raise TomographyError("state must be finite with a positive trace")
     return arr
+
+
+def _setting_unitaries(s: TomographySettings) -> np.ndarray:
+    """Each setting's two-qubit pre-rotation, stacked as (settings, 4, 4)."""
+    return np.stack([np.kron(_ROTATIONS[a], _ROTATIONS[b]) for a, b in s.pre_rotations])
 
 
 def setting_probabilities(rho, s: TomographySettings, readout_error: bool = True) -> np.ndarray:
@@ -130,8 +145,9 @@ def setting_probabilities(rho, s: TomographySettings, readout_error: bool = True
     arr = _rho_array(rho)
     confusion = s.confusion_matrix() if readout_error else np.eye(4)
     probs = np.empty((len(s.pre_rotations), 4))
-    for i, (a, b) in enumerate(s.pre_rotations):
-        u = np.kron(_ROTATIONS[a], _ROTATIONS[b])
+    # one setting at a time, in this order: the multinomial draws of
+    # simulate_tomography change when these probabilities move by one ulp
+    for i, u in enumerate(_setting_unitaries(s)):
         born = np.real(np.diag(u @ arr @ u.conj().T))
         born = np.clip(born, 0.0, None)
         probs[i] = confusion @ (born / born.sum())
@@ -148,16 +164,6 @@ def simulate_tomography(rho, s: TomographySettings) -> CountsTable:
     return CountsTable(s, counts)
 
 
-def _pauli_basis() -> list:
-    labels = ("I", "X", "Y", "Z")
-    return [
-        (f"{a}{b}", np.kron(_SIGMA[a], _SIGMA[b]))
-        for a in labels
-        for b in labels
-        if not (a == "I" and b == "I")
-    ]
-
-
 def pauli_estimates(frequencies: np.ndarray, s: TomographySettings) -> dict:
     """Linear-inversion estimates of the 15 non-identity Pauli expectations.
 
@@ -171,25 +177,17 @@ def pauli_estimates(frequencies: np.ndarray, s: TomographySettings) -> dict:
     n = len(s.pre_rotations)
     if freqs.shape != (n, 4):
         raise TomographyError(f"frequencies must have shape ({n}, 4)")
+    if not np.isfinite(freqs).all():
+        raise TomographyError("frequencies must be finite")
     confusion = s.confusion_matrix()
     if abs(np.linalg.det(confusion)) < 1e-12:
         raise TomographyError("confusion matrix is singular; readout fidelity too low")
-    inv_confusion = np.linalg.inv(confusion)
-    corrected = freqs @ inv_confusion.T
-
-    paulis = _pauli_basis()
-    design = np.zeros((4 * n, len(paulis)))
-    rhs = np.zeros(4 * n)
-    basis = np.eye(4)
-    for i, (a, b) in enumerate(s.pre_rotations):
-        u = np.kron(_ROTATIONS[a], _ROTATIONS[b])
-        for o in range(4):
-            effect = u.conj().T @ np.outer(basis[o], basis[o]) @ u
-            rhs[4 * i + o] = corrected[i, o] - 0.25
-            for j, (_, pauli) in enumerate(paulis):
-                design[4 * i + o, j] = np.real(np.trace(pauli @ effect)) / 4.0
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return {label: float(c) for (label, _), c in zip(paulis, coeffs)}
+    corrected = freqs @ np.linalg.inv(confusion).T
+    # outcome o of setting s has probability 1/4 + sum_p c_p (U_s P_p U_s^dag)_oo / 4
+    u = _setting_unitaries(s)
+    design = np.einsum("soi,pij,soj->sop", u, _PAULIS, u.conj()).real.reshape(4 * n, -1) / 4.0
+    coeffs, *_ = np.linalg.lstsq(design, corrected.reshape(-1) - 0.25, rcond=None)
+    return {label: float(c) for label, c in zip(_PAULI_LABELS, coeffs)}
 
 
 def reconstruct_from_frequencies(frequencies: np.ndarray, s: TomographySettings) -> DensityMatrix:
@@ -200,9 +198,7 @@ def reconstruct_from_frequencies(frequencies: np.ndarray, s: TomographySettings)
     renormalizes the trace) to return a physical state.
     """
     coeffs = pauli_estimates(frequencies, s)
-    rho = np.eye(4, dtype=complex) / 4.0
-    for label, pauli in _pauli_basis():
-        rho += (coeffs[label] / 4.0) * pauli
+    rho = (np.eye(4) + np.tensordot([coeffs[label] for label in _PAULI_LABELS], _PAULIS, 1)) / 4.0
     rho = (rho + rho.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)

@@ -24,7 +24,6 @@ from stabsim.dynamics import (
     FitError,
     IntegrationError,
     ScheduleSegment,
-    _rk4_propagator,
     default_step,
     evolve,
     evolve_schedule,
@@ -77,6 +76,17 @@ def matrix_power_calls(monkeypatch):
     return calls
 
 
+def dense_rk4_propagator(gen, h):
+    """One-step RK4 propagator I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, from dense products."""
+    hl = h * gen
+    p = np.eye(gen.shape[0], dtype=complex) + hl
+    term = hl
+    for k in (2.0, 3.0, 4.0):
+        term = term @ hl / k
+        p += term
+    return p
+
+
 def per_step_states(problem, rho0, grid):
     """Reference for evolve: one dense RK4 propagator per step size, one product per step."""
     gen = liouvillian(problem)
@@ -88,7 +98,7 @@ def per_step_states(problem, rho0, grid):
         n = max(1, int(math.ceil(span / step - 1e-12)))
         key = round(span / n, 15)
         if key not in propagators:
-            propagators[key] = _rk4_propagator(gen, span / n)
+            propagators[key] = dense_rk4_propagator(gen, span / n)
         for _ in range(n):
             vec = propagators[key] @ vec
         states.append(vec)

@@ -17,11 +17,55 @@ from stabsim.tomography import (
 )
 
 
+SIGMA = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+ROTATIONS = {
+    "I": np.eye(2, dtype=complex),
+    "X90": (np.eye(2) - 1j * SIGMA["X"]) / np.sqrt(2.0),
+    "Y90": (np.eye(2) - 1j * SIGMA["Y"]) / np.sqrt(2.0),
+}
+PAULI_LABELS = [a + b for a in "IXYZ" for b in "IXYZ"][1:]
+READOUT = {"readout_fidelity_q1": 0.8887, "readout_fidelity_q2": 0.8176}
+
+
 def random_physical_state(seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def loop_pauli_estimates(freqs, s):
+    """Reference: the design matrix one trace at a time, tr(P U^dag |o><o| U) / 4."""
+    corrected = freqs @ np.linalg.inv(s.confusion_matrix()).T
+    n = len(s.pre_rotations)
+    design = np.zeros((4 * n, 15))
+    rhs = np.zeros(4 * n)
+    basis = np.eye(4)
+    for i, (a, b) in enumerate(s.pre_rotations):
+        u = np.kron(ROTATIONS[a], ROTATIONS[b])
+        for o in range(4):
+            effect = u.conj().T @ np.outer(basis[o], basis[o]) @ u
+            rhs[4 * i + o] = corrected[i, o] - 0.25
+            for j, label in enumerate(PAULI_LABELS):
+                pauli = np.kron(SIGMA[label[0]], SIGMA[label[1]])
+                design[4 * i + o, j] = np.real(np.trace(pauli @ effect)) / 4.0
+    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return dict(zip(PAULI_LABELS, coeffs))
+
+
+def loop_setting_probabilities(rho, s):
+    """Reference: one kron and one Born rule per setting, then the readout confusion."""
+    probs = np.empty((len(s.pre_rotations), 4))
+    for i, (a, b) in enumerate(s.pre_rotations):
+        u = np.kron(ROTATIONS[a], ROTATIONS[b])
+        born = np.clip(np.real(np.diag(u @ rho @ u.conj().T)), 0.0, None)
+        probs[i] = s.confusion_matrix() @ (born / born.sum())
+    return probs
 
 
 class TestSettings:
@@ -39,6 +83,23 @@ class TestSettings:
     def test_unknown_rotation_rejected(self):
         with pytest.raises(TomographyError):
             TomographySettings(pre_rotations=(("I", "Z90"),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("shots_per_setting", 100.5),
+        ("shots_per_setting", float("nan")),
+        ("shots_per_setting", True),
+        ("rng_seed", -1),
+        ("rng_seed", 2.5),
+        ("rng_seed", True),
+    ], ids=["shots_fraction", "shots_nan", "shots_bool", "seed_negative", "seed_fraction",
+            "seed_bool"])
+    def test_non_integer_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(TomographyError, match=field):
+            TomographySettings(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        s = TomographySettings(shots_per_setting=np.int64(100), rng_seed=np.int32(0))
+        assert simulate_tomography(np.eye(4) / 4.0, s).counts.sum() == 900
 
 
 class TestSimulate:
@@ -76,6 +137,15 @@ class TestSimulate:
         freqs = counts.frequencies()
         sigma = np.sqrt(probs * (1 - probs) / shots)
         assert np.all(np.abs(freqs - probs) < 5 * np.maximum(sigma, 1e-9))
+
+    @pytest.mark.parametrize("rho", [
+        np.zeros((4, 4)),
+        np.full((4, 4), np.nan),
+        -np.eye(4) / 4.0,
+    ], ids=["zero", "nan", "negative_trace"])
+    def test_unphysical_state_rejected(self, rho):
+        with pytest.raises(TomographyError, match="positive trace"):
+            simulate_tomography(rho, TomographySettings(shots_per_setting=100))
 
     def test_deterministic_per_seed(self):
         s = TomographySettings(shots_per_setting=500, rng_seed=11)
@@ -156,6 +226,14 @@ class TestReconstruct:
             assert isinstance(rebuilt, DensityMatrix)
             assert rebuilt.layout == TWO_QUBIT_LAYOUT
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frequencies_rejected(self, bad):
+        s = TomographySettings()
+        freqs = setting_probabilities(random_physical_state(0), s)
+        freqs[3, 1] = bad
+        with pytest.raises(TomographyError, match="finite"):
+            pauli_estimates(freqs, s)
+
     def test_mismatched_settings_rejected(self):
         s_full = TomographySettings(shots_per_setting=100, rng_seed=0)
         counts = simulate_tomography(np.eye(4) / 4.0, s_full)
@@ -182,3 +260,30 @@ class TestCountsTable:
         assert len(lines) == 1 + 9 * 4
         total = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
         assert total == 50 * 9
+
+
+class TestLoopReferences:
+    """The stacked-array forms against the per-setting, per-element loops they replaced."""
+
+    @pytest.mark.parametrize("pre_rotations", [
+        None,
+        (("I", "I"), ("X90", "Y90"), ("Y90", "X90")),
+    ], ids=["default", "three_settings"])
+    def test_pauli_estimates_match_trace_loop(self, pre_rotations):
+        kwargs = dict(READOUT, shots_per_setting=2000, rng_seed=7)
+        if pre_rotations is not None:
+            kwargs["pre_rotations"] = pre_rotations
+        s = TomographySettings(**kwargs)
+        for seed in range(5):
+            freqs = simulate_tomography(random_physical_state(seed), s).frequencies()
+            got, want = pauli_estimates(freqs, s), loop_pauli_estimates(freqs, s)
+            assert list(got) == PAULI_LABELS
+            assert max(abs(got[label] - want[label]) for label in PAULI_LABELS) < 1e-14
+
+    def test_setting_probabilities_bitwise_equal_to_loop(self):
+        # equal bytes, not a tolerance: the multinomial counts follow these exactly
+        s = TomographySettings(**READOUT)
+        for seed in range(20):
+            rho = random_physical_state(100 + seed)
+            got = setting_probabilities(rho, s)
+            assert got.tobytes() == loop_setting_probabilities(rho, s).tobytes()
