@@ -109,7 +109,20 @@ def kappa_from_resonator_t1(t1_res: float) -> float:
     return 1.0 / t1_res
 
 
-_REQUIRED_QUBIT_COHERENCE = ("t1", "t_ram", "t_echo")
+_QUBITS, _RESONATORS, _FLUX_POINTS = ("q1", "q2"), ("r1", "r2"), ("bias_point", "sweet_spot")
+
+# every value a device table must hold, as its key path from the top
+# (the value itself may be null, as the sweet-spot q2 echo time is)
+_REQUIRED_PATHS = (
+    ("zz_shift_khz",),
+    *((field, q) for field in ("qubit_ge_frequency_ghz", "anharmonicity_mhz", "readout_fidelity")
+      for q in _QUBITS),
+    *(("readout_frequency_ghz", r) for r in _RESONATORS),
+    *(("coherence_us", point, "phi_dc_over_pi") for point in _FLUX_POINTS),
+    *(("coherence_us", point, q, t) for point in _FLUX_POINTS for q in _QUBITS
+      for t in ("t1", "t_ram", "t_echo")),
+    *(("coherence_us", "bias_point", r, "t1") for r in _RESONATORS),
+)
 
 
 @dataclass(frozen=True)
@@ -141,54 +154,27 @@ class DeviceTable:
 
 
 def load_device_table(path: Optional[str] = None) -> DeviceTable:
-    """Load the bundled (or an explicit) device constant file, validating
-    that every expected field is present."""
+    """Load the bundled (or an explicit) device table; every path in _REQUIRED_PATHS must exist."""
     if path is None:
         raw = resources.files("stabsim.data").joinpath("device_table.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     data = json.loads(raw)
-    for key in (
-        "qubit_ge_frequency_ghz",
-        "anharmonicity_mhz",
-        "readout_frequency_ghz",
-        "zz_shift_khz",
-        "readout_fidelity",
-        "coherence_us",
-    ):
-        if key not in data:
-            raise CalibrationError(f"device table missing field {key!r}")
-    for key in ("qubit_ge_frequency_ghz", "anharmonicity_mhz", "readout_fidelity"):
-        for qubit in ("q1", "q2"):
-            if qubit not in data[key]:
-                raise CalibrationError(f"device table field {key!r} missing {qubit!r}")
-    for res in ("r1", "r2"):
-        if res not in data["readout_frequency_ghz"]:
-            raise CalibrationError(f"device table readout frequencies missing {res!r}")
-    coherence = data["coherence_us"]
-    for point in ("bias_point", "sweet_spot"):
-        if point not in coherence:
-            raise CalibrationError(f"device table coherence missing {point!r}")
-        if "phi_dc_over_pi" not in coherence[point]:
-            raise CalibrationError(f"coherence point {point!r} missing flux value")
-        for qubit in ("q1", "q2"):
-            entry = coherence[point].get(qubit)
-            if entry is None:
-                raise CalibrationError(f"coherence point {point!r} missing {qubit!r}")
-            for field_name in _REQUIRED_QUBIT_COHERENCE:
-                if field_name not in entry:
-                    raise CalibrationError(
-                        f"coherence of {qubit} at {point!r} missing {field_name!r}"
-                    )
-    for res in ("r1", "r2"):
-        if res not in coherence["bias_point"] or "t1" not in coherence["bias_point"][res]:
-            raise CalibrationError(f"bias-point coherence missing resonator {res!r} lifetime")
+    for keys in _REQUIRED_PATHS:
+        node = data
+        for depth, key in enumerate(keys):
+            if not isinstance(node, dict):
+                where = repr(".".join(keys[:depth])) if depth else "top level"
+                raise CalibrationError(f"device table {where} must be an object")
+            if key not in node:
+                raise CalibrationError(f"device table missing {'.'.join(keys[:depth + 1])!r}")
+            node = node[key]
     return DeviceTable(
         qubit_ge_frequency_ghz=data["qubit_ge_frequency_ghz"],
         anharmonicity_mhz=data["anharmonicity_mhz"],
         readout_frequency_ghz=data["readout_frequency_ghz"],
         zz_shift_khz=float(data["zz_shift_khz"]),
         readout_fidelity=data["readout_fidelity"],
-        coherence_us=coherence,
+        coherence_us=data["coherence_us"],
     )

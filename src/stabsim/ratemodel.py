@@ -92,6 +92,13 @@ def steady_populations(gamma_t: float, gamma: float, theta: float) -> tuple:
     return (w, x, x, z)
 
 
+def _theta_eff(theta: float, color: str) -> float:
+    """theta for the blue sideband; pi - theta for the red one, whose decay branching flips."""
+    if color not in ("blue", "red"):
+        raise ValueError(f"unknown sideband color {color!r}")
+    return theta if color == "blue" else math.pi - theta
+
+
 def steady_fidelity(gamma_t: float, gamma: float, theta: float, color: str = "blue") -> float:
     """Steady-state target fidelity of the rate model.
 
@@ -99,25 +106,13 @@ def steady_fidelity(gamma_t: float, gamma: float, theta: float, color: str = "bl
     (Gamma_t + gamma))^2; the red-sideband variant swaps in
     cos^2(theta/2) because the decay branching toward the target flips.
     """
-    if gamma_t < 0:
-        raise ValueError("refilling rate must be non-negative")
-    if gamma < 0 or gamma_t + gamma <= 0:
-        raise ValueError("decay rate must be non-negative and not both rates zero")
-    # same floating-point expression as steady_populations so w == fidelity
-    if color == "blue":
-        back = math.sin(theta / 2.0) ** 2
-    elif color == "red":
-        back = math.cos(theta / 2.0) ** 2
-    else:
-        raise ValueError(f"unknown sideband color {color!r}")
-    return ((gamma_t + gamma * back) / (gamma_t + gamma)) ** 2
+    return steady_populations(gamma_t, gamma, _theta_eff(theta, color))[0]
 
 
 def rate_model(w: float, kappa: float, gamma: float, theta: float, color: str = "blue") -> RateModel:
     """Assemble the full rate model for one drive configuration."""
     gamma_t = refilling_rate(w, kappa, theta, color)
-    theta_eff = theta if color == "blue" else math.pi - theta
-    pops = steady_populations(gamma_t, gamma, theta_eff)
+    pops = steady_populations(gamma_t, gamma, _theta_eff(theta, color))
     return RateModel(gamma_t, gamma, theta, pops)
 
 

@@ -315,9 +315,11 @@ def _pull_family_drives(cfg: dict, raw: dict):
 
 
 def _check_segments(cfg: dict, raw: dict):
-    for seg in cfg["segments"]:
+    for i, seg in enumerate(cfg["segments"]):
         _require(isinstance(seg, dict) and {"parity", "duration_us"} <= seg.keys(),
                  "every segment needs a parity and a duration_us")
+        for key in seg:
+            _require(key in ("parity", "duration_us"), f"unknown config key 'segments[{i}].{key}'")
 
 
 def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:

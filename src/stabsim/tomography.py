@@ -104,7 +104,10 @@ class CountsTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.counts, dtype=np.int64)
+        values = np.asarray(self.counts, dtype=float)
+        if not np.all(np.isfinite(values) & (values >= 0) & (values == np.round(values))):
+            raise TomographyError("counts must be finite, non-negative whole numbers")
+        arr = values.astype(np.int64)
         n = len(self.settings.pre_rotations)
         if arr.shape != (n, 4):
             raise TomographyError(f"counts must have shape ({n}, 4), got {arr.shape}")

@@ -1,5 +1,8 @@
+import copy
+import importlib.resources
 import json
 import math
+import re
 
 import pytest
 from scipy.optimize import brentq
@@ -7,6 +10,7 @@ from scipy.optimize import brentq
 from stabsim.calibration import (
     CalibrationError,
     CircuitParams,
+    DeviceTable,
     kappa_from_resonator_t1,
     load_device_table,
     qq_sideband_rate,
@@ -15,6 +19,27 @@ from stabsim.calibration import (
 )
 
 TWO_PI = 2 * math.pi
+
+BUNDLED_TABLE = json.loads(
+    importlib.resources.files("stabsim.data").joinpath("device_table.json").read_text()
+)
+
+
+def leaf_paths(node, prefix=()):
+    """Key paths of every non-object value below `node`."""
+    if not isinstance(node, dict):
+        return [prefix]
+    return [path for key, value in node.items() for path in leaf_paths(value, prefix + (key,))]
+
+
+def load_edited(tmp_path, edit):
+    """Load a copy of the bundled table after `edit(raw)` (which may return a replacement)."""
+    raw = copy.deepcopy(BUNDLED_TABLE)
+    raw = edit(raw) or raw
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(raw))
+    return load_device_table(str(table_path))
+
 
 # measured coupler and qubit constants used across the rate tests
 COUPLER = dict(
@@ -186,3 +211,29 @@ class TestDeviceTable:
         table_path.write_text(json.dumps(raw))
         with pytest.raises(CalibrationError):
             load_device_table(str(table_path))
+
+    def test_bundled_table_is_the_file(self):
+        assert load_device_table() == DeviceTable(**BUNDLED_TABLE)
+        assert BUNDLED_TABLE["coherence_us"]["sweet_spot"]["q2"]["t_echo"] is None
+
+    # every value of the bundled table is required, including the null one
+    @pytest.mark.parametrize("path", leaf_paths(BUNDLED_TABLE), ids=".".join)
+    def test_every_value_required(self, tmp_path, path):
+        def drop(raw):
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            del node[path[-1]]
+
+        with pytest.raises(CalibrationError, match=re.escape(".".join(path))):
+            load_edited(tmp_path, drop)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.update(coherence_us=5),
+        lambda raw: raw["coherence_us"].update(bias_point=None),
+        lambda raw: raw["coherence_us"]["sweet_spot"].update(q1=[31.6, 28.4, 26.6]),
+        lambda raw: [raw],
+    ], ids=["coherence_number", "bias_point_null", "qubit_list", "top_level_list"])
+    def test_non_object_rejected(self, tmp_path, edit):
+        with pytest.raises(CalibrationError, match="must be an object"):
+            load_edited(tmp_path, edit)

@@ -180,6 +180,15 @@ class TestRateModelAssembly:
         )
         assert abs(sum(model.populations) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    def test_fidelity_is_steady_fidelity_bitwise(self, color):
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            w, kappa = rng.uniform(0.1, 5), rng.uniform(0.1, 5)
+            g, th = rng.uniform(0.01, 2), rng.uniform(0.05, math.pi - 0.05)
+            model = rate_model(w, kappa, g, th, color)
+            assert model.fidelity == steady_fidelity(model.gamma_t, g, th, color)
+
     def test_invalid_populations_rejected(self):
         with pytest.raises(ValueError):
             RateModel(1.0, 0.1, 1.0, (0.5, 0.5, 0.5, -0.5))

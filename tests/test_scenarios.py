@@ -43,6 +43,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config({"kind": "time_domain", "fidelity_goal": 1.0})
 
+    def test_unknown_segment_key(self):
+        segments = [{"parity": "even", "duration_us": 1.0},
+                    {"parity": "odd", "duration_us": 1.0, "duraton_us": 5.0}]
+        with pytest.raises(ConfigError, match=r"'segments\[1\]\.duraton_us'"):
+            validate_config({"kind": "parity_switch", "segments": segments})
+
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
             validate_config({"kind": "kappa_sweep", "grid": {"kappa_over_w": []}})

@@ -250,6 +250,22 @@ class TestCountsTable:
         with pytest.raises(TomographyError):
             CountsTable(s, np.array([[3, 3, 3, 3]]))
 
+    @pytest.mark.parametrize("row", [
+        [-1, 5, 3, 3],
+        [2.9, 6, 1, 1],
+        [math.nan, 10, 0, 0],
+        [math.inf, 10, 0, 0],
+    ], ids=["negative", "fractional", "nan", "inf"])
+    def test_invalid_counts_rejected(self, row):
+        s = TomographySettings(shots_per_setting=10, pre_rotations=(("I", "I"),))
+        with pytest.raises(TomographyError):
+            CountsTable(s, [row])
+
+    def test_negative_counts_never_reach_reconstruct(self):
+        s = TomographySettings(shots_per_setting=10)
+        with pytest.raises(TomographyError):
+            reconstruct(CountsTable(s, [[-5, 15, 0, 0]] * 9))
+
     def test_csv_export(self, tmp_path):
         s = TomographySettings(shots_per_setting=50, rng_seed=9)
         counts = simulate_tomography(np.eye(4) / 4.0, s)
