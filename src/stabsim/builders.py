@@ -221,14 +221,19 @@ def build_color_variant(
 ) -> ComplexOperator:
     """The system of any recipe named in :data:`RECIPES`.
 
-    Besides the two parity recipes: "red_red" swaps both qubit-resonator
-    sidebands of the even-parity recipe to exchange form with the same
-    resonator detunings; "opposite_detuning" keeps the blue sidebands and
-    flips the sign of both resonator diagonal terms, which moves the
-    stabilized point to the orthogonal member of the family.
+    The two parity recipes go through their named builders.  "red_red"
+    swaps both qubit-resonator sidebands of the even-parity recipe to
+    exchange form with the same resonator detunings; "opposite_detuning"
+    keeps the blue sidebands and flips the sign of both resonator diagonal
+    terms, which moves the stabilized point to the orthogonal member of
+    the family.
     """
     if variant not in RECIPES:
         raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(RECIPES)}")
+    if variant == "even_parity":
+        return build_even_parity_system(omega, delta, w1, w2, layout)
+    if variant == "odd_parity":
+        return build_odd_parity_system(omega, delta, w1, w2, layout)
     return _sideband_recipe(variant, omega, delta, w1, w2, layout)
 
 
@@ -299,6 +304,8 @@ def plan_stabilization(
     """
     if hqq.entries.shape != (4, 4):
         raise ValueError("plan_stabilization expects a 4x4 two-qubit block")
+    if len(colors) != 2:
+        raise ValueError(f"plan_stabilization needs one color per qubit, got {colors!r}")
     for color in colors:
         _check_color(color)
     eigen = eigendecompose(hqq)

@@ -111,8 +111,8 @@ def kappa_from_resonator_t1(t1_res: float) -> float:
 
 _QUBITS, _RESONATORS, _FLUX_POINTS = ("q1", "q2"), ("r1", "r2"), ("bias_point", "sweet_spot")
 
-# every value a device table must hold, as its key path from the top
-# (the value itself may be null, as the sweet-spot q2 echo time is)
+# every value a device table must hold, as its key path from the top; each is a
+# finite number, and a t_ram or t_echo may be null, as the sweet-spot q2 echo time is
 _REQUIRED_PATHS = (
     ("zz_shift_khz",),
     *((field, q) for field in ("qubit_ge_frequency_ghz", "anharmonicity_mhz", "readout_fidelity")
@@ -154,7 +154,7 @@ class DeviceTable:
 
 
 def load_device_table(path: Optional[str] = None) -> DeviceTable:
-    """Load the bundled (or an explicit) device table; every path in _REQUIRED_PATHS must exist."""
+    """Load the bundled (or an explicit) device table; _REQUIRED_PATHS says what it must hold."""
     if path is None:
         raw = resources.files("stabsim.data").joinpath("device_table.json").read_text()
     else:
@@ -170,6 +170,10 @@ def load_device_table(path: Optional[str] = None) -> DeviceTable:
             if key not in node:
                 raise CalibrationError(f"device table missing {'.'.join(keys[:depth + 1])!r}")
             node = node[key]
+        number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        if not (number and math.isfinite(node) or node is None and keys[-1] in ("t_ram", "t_echo")):
+            raise CalibrationError(f"device table {'.'.join(keys)!r} must be a finite number, "
+                                   f"got {node!r}")
     return DeviceTable(
         qubit_ge_frequency_ghz=data["qubit_ge_frequency_ghz"],
         anharmonicity_mhz=data["anharmonicity_mhz"],

@@ -30,8 +30,8 @@ from scipy.optimize import curve_fit
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
-from .builders import RECIPES, LindbladProblem, NoiseSpec, build_lindblad
-from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, partial_trace
+from .builders import RECIPES, LindbladProblem, NoiseSpec, build_color_variant, build_lindblad
+from .hilbert import DensityMatrix, SpaceLayout, partial_trace
 from .targets import StabilizationTarget, fidelity as state_fidelity, parity_signature, purity
 
 DEFAULT_MAX_STEP = 0.005  # us
@@ -300,18 +300,6 @@ class ScheduleSegment:
             raise ValueError(f"unknown builder {self.builder!r}; expected one of {tuple(RECIPES)}")
 
 
-def _hamiltonian_for_segment(seg: ScheduleSegment, layout: SpaceLayout) -> ComplexOperator:
-    """The segment's recipe at its rates, built through the named builders."""
-    from . import builders
-
-    args = (seg.omega, seg.delta, seg.w1, seg.w2)
-    if seg.builder == "even_parity":
-        return builders.build_even_parity_system(*args, layout)
-    if seg.builder == "odd_parity":
-        return builders.build_odd_parity_system(*args, layout)
-    return builders.build_color_variant(*args, seg.builder, layout)
-
-
 @dataclass(frozen=True)
 class DriveSchedule:
     """Piecewise-constant drive program applied to one initial state."""
@@ -363,7 +351,7 @@ def evolve_schedule(
         local = np.concatenate(([t_start], seg_times[n_start:]))
         if t_end > local[-1] + BOUNDARY_TOL:
             local = np.append(local, t_end)
-        h = _hamiltonian_for_segment(seg, layout)
+        h = build_color_variant(seg.omega, seg.delta, seg.w1, seg.w2, seg.builder, layout)
         sub = evolve(build_lindblad(h, schedule.noise), rho, local, max_step=max_step)
         states += [sub.states[0]] * n_start + list(sub.states[1:1 + seg_times.size - n_start])
         rho = sub.states[-1]

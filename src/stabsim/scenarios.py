@@ -7,8 +7,8 @@ are plain JSON with frequencies in MHz (value = omega / 2 pi) and times
 in microseconds; all physics runs in rad/us internally.
 
 A scenario kind is one entry of :data:`KINDS`: its defaults, CSV
-columns, job list and point function, plus optional validation,
-summary and analytic-comparison hooks.
+columns, job list and point function, plus optional validation and
+summary hooks and the rate-model inputs of a job.
 
 Grid points are embarrassingly parallel: every point is computed from
 (config, index) alone and results are merged by index, so output files
@@ -370,11 +370,15 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
     return {"switch_fits": fits}
 
 
+def _theta_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
+    return cfg["family"], cfg["drives"], noise, math.radians(job[1])
+
+
 def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    d = _drives_rad(cfg["drives"])
-    theta = math.radians(job[1])
+    family, drives, noise, theta = _theta_inputs(cfg, job, noise)
+    d = _drives_rad(drives)
     delta = delta_for_blending_angle(d["omega"], theta)
-    qq_color, colors, swapped, target = _BLENDING[cfg["family"]]
+    qq_color, colors, swapped, target = _BLENDING[family]
     hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, d["omega"], delta)))
     rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
                                  noise, layout)
@@ -382,44 +386,44 @@ def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseS
     return [(job[1], delta / TWO_PI, fidelity(rq, target), purity(rq), parity_signature(rq))]
 
 
-def _bell_steady(family: str, drives: dict, noise: NoiseSpec, layout: SpaceLayout):
-    """Reduced steady state and target of a Bell recipe."""
-    problem, target = _bell_problem(family, drives, noise, layout)
-    return _qubit_state(steady_state(problem)), target
-
-
 def _with_kappa(noise: NoiseSpec, kappa_mhz: float) -> NoiseSpec:
     return replace(noise, kappa1=TWO_PI * kappa_mhz, kappa2=TWO_PI * kappa_mhz)
 
 
-# the (family, drives, noise) of one Bell-kind point, shared by its point
-# function and its analytic hook
+def _tphi_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
+    family, tphi = job[0], float(job[1])
+    noise = replace(noise, tphi_q1=tphi, tphi_q2=tphi)
+    return family, _family_drives(cfg, family), noise, math.pi / 2.0
 
 
-def _tphi_inputs(cfg: dict, family: str, tphi: float, noise: NoiseSpec) -> tuple:
-    tphi = float(tphi)
-    return family, _family_drives(cfg, family), replace(noise, tphi_q1=tphi, tphi_q2=tphi)
+def _kappa_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
+    family, ratio = job
+    drives = _family_drives(cfg, family)
+    return family, drives, _with_kappa(noise, ratio * float(drives["w1_mhz"])), math.pi / 2.0
 
 
-def _kappa_inputs(cfg: dict, family: str, kappa_mhz: float, noise: NoiseSpec) -> tuple:
-    return family, _family_drives(cfg, family), _with_kappa(noise, kappa_mhz)
-
-
-def _omega_kappa_inputs(cfg: dict, om_mhz: float, kappa_mhz: float, noise: NoiseSpec) -> tuple:
+def _omega_kappa_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
+    om_mhz, kappa_mhz = job
     drives = {"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz}
-    return cfg["family"], drives, _with_kappa(noise, kappa_mhz)
+    return cfg["family"], drives, _with_kappa(noise, kappa_mhz), math.pi / 2.0
+
+
+def _bell_steady(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec):
+    """Reduced steady state and target of the job's Bell recipe."""
+    family, drives, noise, _ = KINDS[cfg["kind"]].inputs(cfg, job, noise)
+    problem, target = _bell_problem(family, drives, noise, layout)
+    return _qubit_state(steady_state(problem)), target
 
 
 def _tphi_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    family, tphi = job
-    rq, target = _bell_steady(*_tphi_inputs(cfg, family, tphi, noise), layout)
-    return [(family, float(tphi), fidelity(rq, target), purity(rq))]
+    rq, target = _bell_steady(cfg, job, layout, noise)
+    return [(job[0], float(job[1]), fidelity(rq, target), purity(rq))]
 
 
 def _kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
     family, ratio = job
     kappa_mhz = ratio * float(_family_drives(cfg, family)["w1_mhz"])
-    rq, target = _bell_steady(*_kappa_inputs(cfg, family, kappa_mhz, noise), layout)
+    rq, target = _bell_steady(cfg, job, layout, noise)
     return [(family, float(ratio), kappa_mhz, fidelity(rq, target), purity(rq))]
 
 
@@ -434,10 +438,9 @@ def _kappa_peaks(cfg: dict, named: dict) -> dict:
 
 
 def _omega_kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    om_mhz, kappa_mhz = job
-    rq, target = _bell_steady(*_omega_kappa_inputs(cfg, om_mhz, kappa_mhz, noise), layout)
+    rq, target = _bell_steady(cfg, job, layout, noise)
     f = fidelity(rq, target)
-    return [(float(om_mhz), float(kappa_mhz), f, 1.0 - f)]
+    return [(float(job[0]), float(job[1]), f, 1.0 - f)]
 
 
 def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
@@ -466,14 +469,14 @@ def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -
 
 
 def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    row = _theta_spectroscopy_point(cfg, job, layout, noise)[0]
-    _, f, f_rate = _theta_analytic(cfg, row, noise)
+    f = _theta_spectroscopy_point(cfg, job, layout, noise)[0][2]
+    f_rate = _rate_model_fidelity(cfg, job, noise)
     return [(job[1], f, f_rate, abs(f - f_rate))]
 
 
-def _rate_model_fidelity(cfg: dict, family: str, drives: dict, noise: NoiseSpec,
-                         theta: float) -> float:
-    """Analytic steady-state fidelity with scalar (mean) rates."""
+def _rate_model_fidelity(cfg: dict, job, noise: NoiseSpec) -> float:
+    """Analytic steady-state fidelity of one job with scalar (mean) rates."""
+    family, drives, noise, theta = KINDS[cfg["kind"]].inputs(cfg, job, noise)
     d = _drives_rad(drives)
     w = (d["w1"] + d["w2"]) / 2.0
     kappa = (noise.kappa1 + noise.kappa2) / 2.0
@@ -486,32 +489,6 @@ def _rate_model_fidelity(cfg: dict, family: str, drives: dict, noise: NoiseSpec,
     return steady_fidelity(gamma_t, gamma, theta, color)
 
 
-def _theta_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
-    theta_deg, _, f, _, _ = row
-    f_rate = _rate_model_fidelity(cfg, cfg["family"], cfg["drives"], noise,
-                                  math.radians(theta_deg))
-    return f"theta={theta_deg:g}deg", f, f_rate
-
-
-def _tphi_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
-    family, tphi, f, _ = row
-    f_rate = _rate_model_fidelity(cfg, *_tphi_inputs(cfg, family, tphi, noise), math.pi / 2.0)
-    return f"{family}:tphi={tphi:g}us", f, f_rate
-
-
-def _kappa_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
-    family, ratio, kappa_mhz, f, _ = row
-    f_rate = _rate_model_fidelity(cfg, *_kappa_inputs(cfg, family, kappa_mhz, noise),
-                                  math.pi / 2.0)
-    return f"{family}:kappa/W={ratio:g}", f, f_rate
-
-
-def _omega_kappa_analytic(cfg: dict, row, noise: NoiseSpec) -> tuple:
-    om, kap, f, _ = row
-    f_rate = _rate_model_fidelity(cfg, *_omega_kappa_inputs(cfg, om, kap, noise), math.pi / 2.0)
-    return f"omega={om:g},kappa={kap:g}", f, f_rate
-
-
 @dataclass(frozen=True)
 class KindSpec:
     """Everything the runner knows about one scenario kind.
@@ -519,8 +496,11 @@ class KindSpec:
     `point(cfg, job, layout, noise)` returns the rows of one job from
     `jobs(cfg)`.  Optional hooks: `check(cfg, raw)` validates (and may
     fill in) kind-specific fields, `summary(cfg, named_columns)` adds
-    summary entries, `analytic(cfg, row, noise)` gives the (label, solver
-    fidelity, rate-model fidelity) of one row for :func:`compare_analytic`.
+    summary entries.  A kind with a rate-model counterpart has
+    `inputs(cfg, job, noise)`, the job's (family, MHz drives, NoiseSpec,
+    blending angle), which its point and the rate model both read; with a
+    `label`, a format string of the job's fields, :func:`compare_analytic`
+    tabulates it.
     """
 
     mirrors: str
@@ -530,7 +510,8 @@ class KindSpec:
     point: Callable
     check: Optional[Callable] = None
     summary: Optional[Callable] = None
-    analytic: Optional[Callable] = None
+    inputs: Optional[Callable] = None
+    label: Optional[str] = None
 
 
 KINDS = {
@@ -551,7 +532,7 @@ KINDS = {
                   "noise": dict(MEASURED_NOISE, tphi_us=None), "grid": _THETA_GRID_DEFAULT},
         columns=("theta_deg", "delta_mhz", "fidelity", "purity", "parity"),
         jobs=_theta_jobs, point=_theta_spectroscopy_point, check=_check_theta_grid,
-        analytic=_theta_analytic,
+        inputs=_theta_inputs, label="theta={1:g}deg",
     ),
     "parity_switch": KindSpec(
         mirrors="dissipative switching of the stabilized Bell-state parity",
@@ -578,7 +559,7 @@ KINDS = {
                   "grid": {"tphi_us": [2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0]}},
         columns=("family", "tphi_us", "fidelity", "purity"),
         jobs=lambda cfg: [(f, t) for f in cfg["families"] for t in cfg["grid"]["tphi_us"]],
-        point=_tphi_point, analytic=_tphi_analytic,
+        point=_tphi_point, inputs=_tphi_inputs, label="{0}:tphi={1:g}us",
     ),
     "kappa_sweep": KindSpec(
         mirrors="steady-state fidelity versus resonator decay over sideband rate",
@@ -586,7 +567,8 @@ KINDS = {
                   "grid": {"kappa_over_w": [0.25, 0.5, 1.0, 2.0, 4.0]}},
         columns=("family", "kappa_over_w", "kappa_mhz", "fidelity", "purity"),
         jobs=lambda cfg: [(f, r) for f in cfg["families"] for r in cfg["grid"]["kappa_over_w"]],
-        point=_kappa_point, summary=_kappa_peaks, analytic=_kappa_analytic,
+        point=_kappa_point, summary=_kappa_peaks, inputs=_kappa_inputs,
+        label="{0}:kappa/W={1:g}",
     ),
     "omega_kappa_map": KindSpec(
         mirrors="fidelity map over qubit-qubit rate and resonator decay at matched W",
@@ -596,7 +578,7 @@ KINDS = {
         columns=("omega_mhz", "kappa_mhz", "fidelity", "infidelity"),
         jobs=lambda cfg: [(om, kap) for om in cfg["grid"]["omega_mhz"]
                           for kap in cfg["grid"]["kappa_mhz"]],
-        point=_omega_kappa_point, analytic=_omega_kappa_analytic,
+        point=_omega_kappa_point, inputs=_omega_kappa_inputs, label="omega={0:g},kappa={1:g}",
     ),
     "dressed_parity_sweep": KindSpec(
         mirrors="fidelity across the dressed-parity target family",
@@ -623,6 +605,7 @@ KINDS = {
                   "grid": dict(_THETA_GRID_DEFAULT, step_deg=10.0)},
         columns=("theta_deg",) + _COMPARISON,
         jobs=_theta_jobs, point=_rate_model_point, check=_check_theta_grid,
+        inputs=_theta_inputs,
     ),
 }
 
@@ -774,18 +757,25 @@ def compare_analytic(result: SweepResult):
     """Tabulate solver steady-state fidelities against the rate model.
 
     Returns (columns, rows) with the absolute difference per grid point.
-    Only scenario kinds that produce steady-state fidelities over the
-    blending family support the comparison.
+    Each row is paired with its job (the kind's jobs less the failed
+    ones), and the rate model reads that job's inputs, so a result read
+    back from disk compares like the one in memory.  Only scenario kinds
+    with a `label` support the comparison.
     """
     if result.columns[1:] == _COMPARISON:  # the run already is a comparison
         return result.columns, list(result.rows)
-    analytic = KINDS[result.kind].analytic if result.kind in KINDS else None
-    if analytic is None:
+    spec = KINDS.get(result.kind)
+    if spec is None or spec.label is None:
         raise ConfigError(f"scenario kind {result.kind!r} has no analytic counterpart")
     cfg = result.metadata["config"]
+    failed = {f["index"] for f in result.metadata["failed_jobs"]}
+    jobs = [job for i, job in enumerate(spec.jobs(cfg)) if i not in failed]
+    _require(len(jobs) == len(result.rows),
+             f"result has {len(result.rows)} rows but its config gives {len(jobs)} jobs")
     noise = _noise_from_config(cfg["noise"])
+    col = result.columns.index("fidelity")
     rows = []
-    for row in result.rows:
-        label, f, f_rate = analytic(cfg, row, noise)
-        rows.append((label, f, f_rate, abs(f - f_rate)))
+    for job, row in zip(jobs, result.rows):
+        f, f_rate = row[col], _rate_model_fidelity(cfg, job, noise)
+        rows.append((spec.label.format(*job), f, f_rate, abs(f - f_rate)))
     return ("label",) + _COMPARISON, rows

@@ -35,7 +35,7 @@ class StabilizationTarget:
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(4)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"target amplitudes have norm {norm}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stabsim import builders
 from stabsim.builders import (
     DriveSet,
     EnergyMatchingError,
@@ -124,6 +125,16 @@ class TestColorVariants:
         a = build_color_variant(1.0, 0.0, 0.0, 0.0, "even_parity", LAYOUT)
         b = build_color_variant(1.0, 0.0, 0.0, 0.0, "red_red", LAYOUT)
         assert np.allclose(a.entries, b.entries)
+
+    @pytest.mark.parametrize("variant,named", [("even_parity", "build_even_parity_system"),
+                                               ("odd_parity", "build_odd_parity_system")])
+    def test_parity_variants_call_the_named_builder(self, variant, named, monkeypatch):
+        calls = []
+        original = getattr(builders, named)
+        monkeypatch.setattr(builders, named, lambda *args: calls.append(args) or original(*args))
+        h = build_color_variant(2.0, 0.3, 0.5, 0.4, variant, LAYOUT)
+        assert calls == [(2.0, 0.3, 0.5, 0.4, LAYOUT)]
+        assert np.array_equal(h.entries, original(2.0, 0.3, 0.5, 0.4, LAYOUT).entries)
 
     def test_blue_blue_reproduces_named_builder(self):
         a = build_color_variant(2.0, 0.3, 0.5, 0.4, "even_parity", LAYOUT)
@@ -303,6 +314,13 @@ class TestPlanStabilization:
         h = build_qubit_block(DriveSet(qq=SidebandDrive("red", 0.0, 0.0)))
         with pytest.raises(ValueError, match="degenerate"):
             plan_stabilization(h, 0.1, 0.1)
+
+    @pytest.mark.parametrize("colors", [("blue",), ("blue", "red", "red"), ()],
+                             ids=["one", "three", "none"])
+    def test_colors_must_be_one_per_qubit(self, colors):
+        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", 2.0, 0.0)))
+        with pytest.raises(ValueError, match="one color per qubit"):
+            plan_stabilization(h, 0.1, 0.1, colors)
 
     def test_near_dead_angle_still_plans(self):
         # theta = 179.5 deg has the smallest relative ground gap of the

@@ -228,6 +228,34 @@ class TestDeviceTable:
         with pytest.raises(CalibrationError, match=re.escape(".".join(path))):
             load_edited(tmp_path, drop)
 
+    # a string is never a value; null only for a Ramsey or echo time
+    @pytest.mark.parametrize("path,value", [
+        *((path, "0.48") for path in leaf_paths(BUNDLED_TABLE)),
+        (("zz_shift_khz",), None),
+        (("coherence_us", "bias_point", "r1", "t1"), None),
+        (("zz_shift_khz",), "abc"),
+        (("zz_shift_khz",), math.nan),
+        (("coherence_us", "bias_point", "q1", "t1"), math.inf),
+        (("readout_fidelity", "q1"), True),
+        (("coherence_us", "sweet_spot", "q1", "t1"), {"value": 31.6}),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+    def test_value_must_be_a_finite_number(self, tmp_path, path, value):
+        def put(raw):
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+
+        with pytest.raises(CalibrationError, match=re.escape(f"{'.'.join(path)}' must be a finite")):
+            load_edited(tmp_path, put)
+
+    @pytest.mark.parametrize("field", ["t_ram", "t_echo"])
+    def test_null_coherence_time_loads(self, tmp_path, field):
+        table = load_edited(tmp_path, lambda raw: raw["coherence_us"]["bias_point"]["q1"].update(
+            {field: None}))
+        assert table.coherence_us["bias_point"]["q1"][field] is None
+        assert table.qubit_t1s() == (24.3, 9.1)
+
     @pytest.mark.parametrize("edit", [
         lambda raw: raw.update(coherence_us=5),
         lambda raw: raw["coherence_us"].update(bias_point=None),

@@ -357,6 +357,19 @@ class TestSchedule:
         for a, b in zip(direct.states, via_schedule.states):
             assert np.max(np.abs(a.entries - b.entries)) < 1e-12
 
+    @pytest.mark.parametrize("recipe", list(RECIPES))
+    def test_segment_of_each_recipe_matches_evolve(self, recipe):
+        rates = (TWO_PI * 2.0, TWO_PI * 0.3, TWO_PI * 0.47, TWO_PI * 0.4)
+        grid = np.linspace(0.0, 1.0, 5)
+        problem = build_lindblad(build_color_variant(*rates, recipe, LAYOUT), DEVICE_NOISE)
+        direct = evolve(problem, ground(LAYOUT), grid)
+        schedule = DriveSchedule((ScheduleSegment(1.0, recipe, *rates),), ground(LAYOUT),
+                                 DEVICE_NOISE)
+        via_schedule = evolve_schedule(schedule, grid)
+        assert len(via_schedule.states) == grid.size
+        for a, b in zip(direct.states, via_schedule.states):
+            assert np.max(np.abs(a.entries - b.entries)) < 1e-12
+
     def test_splitting_segment_is_identity(self):
         grid = np.linspace(0.0, 2.0, 9)
         one = DriveSchedule((even_segment(2.0),), ground(LAYOUT), DEVICE_NOISE)

@@ -19,6 +19,7 @@ from stabsim.scenarios import (
     ConfigError,
     compare_analytic,
     default_config,
+    read_result,
     run_scenario,
     validate_config,
     write_result,
@@ -386,6 +387,41 @@ class TestCompareAnalytic:
         theta, f_lind, f_rate, diff = result.rows[0]
         assert theta == 90.0
         assert diff == pytest.approx(abs(f_lind - f_rate))
+
+    def test_rate_column_from_disk_is_the_in_memory_one(self, tmp_path):
+        # the CSV rounds kappa_mhz to %.12g; the rate model reads the job instead
+        result = run_scenario({"kind": "kappa_sweep",
+                               "grid": {"kappa_over_w": [0.35, 0.7, 1.4, 2.8]}})
+        write_result(result, tmp_path)
+        _, in_memory = compare_analytic(result)
+        _, from_disk = compare_analytic(read_result(tmp_path))
+        assert len(from_disk) == 8
+        assert [r[0] for r in from_disk] == [r[0] for r in in_memory]
+        assert [r[2] for r in from_disk] == [r[2] for r in in_memory]
+
+    def test_rows_pair_with_their_jobs_past_a_failed_job(self, monkeypatch, tmp_path):
+        full = compare_analytic(run_scenario(SMALL_KAPPA_SWEEP))[1]
+        original = scenarios._run_job
+
+        def flaky(cfg, job):
+            if job == ("psi", 1.0):  # job 1
+                raise RuntimeError("synthetic point failure")
+            return original(cfg, job)
+
+        monkeypatch.setattr(scenarios, "_run_job", flaky)
+        result = run_scenario(SMALL_KAPPA_SWEEP)
+        assert [f["index"] for f in result.metadata["failed_jobs"]] == [1]
+        assert compare_analytic(result)[1] == [full[0], full[2]]
+        write_result(result, tmp_path)
+        from_disk = compare_analytic(read_result(tmp_path))[1]
+        assert [(r[0], r[2]) for r in from_disk] == [(r[0], r[2]) for r in (full[0], full[2])]
+
+    def test_row_missing_from_the_csv_rejected(self, tmp_path):
+        write_result(run_scenario(SMALL_KAPPA_SWEEP), tmp_path)
+        csv_path = tmp_path / "result.csv"
+        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ConfigError, match="2 rows but its config gives 3 jobs"):
+            compare_analytic(read_result(tmp_path))
 
     def test_unsupported_kind_rejected(self):
         result = run_scenario(

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from stabsim.builders import DriveSet, RabiDrive, SidebandDrive, build_qubit_block
 from stabsim.targets import (
+    StabilizationTarget,
     bell_phi_minus,
     bell_psi_minus,
     blending_angle,
@@ -54,6 +55,16 @@ class TestBlendingFamilies:
             ground = vecs[:, 0]
             overlap = abs(np.vdot(psi_theta(theta).amplitudes, ground)) ** 2
             assert overlap > 1.0 - 1e-9
+
+
+class TestStabilizationTarget:
+    # built directly: psi_theta(nan) would trip the RuntimeWarning filter first
+    @pytest.mark.parametrize("amps", [[math.nan, 0.0, 0.0, 0.0], [0.6, math.nan, 0.8, 0.0],
+                                      [math.inf, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+                             ids=["nan", "nan_mixed", "inf", "norm_sqrt2"])
+    def test_non_unit_amplitudes_rejected(self, amps):
+        with pytest.raises(ValueError, match="norm"):
+            StabilizationTarget("x", (), amps)
 
 
 class TestBlendingAngle:
