@@ -17,7 +17,8 @@ load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,11 +46,12 @@ class SpaceLayout:
     """
 
     subsystems: tuple = (("q1", 2), ("q2", 2), ("r1", 2), ("r2", 2))
+    labels: tuple = field(init=False, compare=False, repr=False)
+    dims: tuple = field(init=False, compare=False, repr=False)
+    total_dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        subs = tuple((str(lbl), int(dim)) for lbl, dim in self.subsystems)
-        object.__setattr__(self, "subsystems", subs)
-        labels = [lbl for lbl, _ in subs]
+        labels = tuple(str(lbl) for lbl, _ in self.subsystems)
         if not labels:
             raise LayoutError("layout needs at least one subsystem")
         if len(set(labels)) != len(labels):
@@ -60,21 +62,14 @@ class SpaceLayout:
         order = [CANONICAL_ORDER.index(l) for l in labels]
         if order != sorted(order):
             raise LayoutError(f"labels must follow order {CANONICAL_ORDER}, got {labels}")
-        for lbl, dim in subs:
+        for lbl, (_, dim) in zip(labels, self.subsystems):
+            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+                raise LayoutError(f"dimension of {lbl} must be an integer, got {dim!r}")
             if dim < 2:
                 raise LayoutError(f"dimension of {lbl} must be >= 2, got {dim}")
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(lbl for lbl, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        dims = tuple(int(dim) for _, dim in self.subsystems)
+        vars(self).update(subsystems=tuple(zip(labels, dims)), labels=labels, dims=dims,
+                          total_dim=math.prod(dims))
 
     def axis(self, label: str) -> int:
         """Position of `label` in the tensor ordering."""
@@ -107,7 +102,9 @@ class SpaceLayout:
         if isinstance(key, str):
             if len(key) != len(self.subsystems):
                 raise LayoutError(f"state string {key!r} does not match layout {self.labels}")
-            levels = [{"g": 0, "e": 1}.get(ch, None) if ch in "ge" else int(ch) for ch in key]
+            if not set(key) <= set("ge0123456789"):
+                raise LayoutError(f"state string {key!r} may hold only g, e and digits")
+            levels = ["ge".index(ch) if ch in "ge" else int(ch) for ch in key]
         else:
             levels = list(key)
         vec = np.zeros(self.total_dim, dtype=complex)
@@ -226,9 +223,8 @@ def embed_local(layout: SpaceLayout, label: str, local: np.ndarray) -> ComplexOp
         raise LayoutError(
             f"local operator shape {local.shape} does not match dim {layout.dims[axis]} of {label}"
         )
-    mat = np.eye(1, dtype=complex)
-    for i, (_, dim) in enumerate(layout.subsystems):
-        mat = np.kron(mat, local if i == axis else np.eye(dim, dtype=complex))
+    left, right = math.prod(layout.dims[:axis]), math.prod(layout.dims[axis + 1:])
+    mat = np.kron(np.kron(np.eye(left, dtype=complex), local), np.eye(right, dtype=complex))
     return ComplexOperator(layout, mat)
 
 

@@ -730,8 +730,11 @@ def read_result(path) -> SweepResult:
         saved = json.load(fh)
     with open(path, newline="", encoding="utf-8") as fh:
         table = list(csv.reader(fh))
-    _require(len(table) > 0 and "metadata" in saved, f"{path} is not a stabsim result")
-    meta = saved["metadata"]
+    meta = saved.get("metadata") if isinstance(saved, dict) else None
+    _require(isinstance(meta, dict) and {"kind", "config", "failed_jobs"} <= meta.keys()
+             and "summary" in saved, f"the summary.json beside {path} is not a stabsim summary")
+    _require(table and all(len(line) == len(table[0]) for line in table),
+             f"{path} is not a stabsim result table")
     rows = tuple(tuple(_cell(c) for c in line) for line in table[1:])
     return SweepResult(meta["kind"], tuple(table[0]), rows, saved["summary"], meta)
 
@@ -767,13 +770,16 @@ def compare_analytic(result: SweepResult):
     spec = KINDS.get(result.kind)
     if spec is None or spec.label is None:
         raise ConfigError(f"scenario kind {result.kind!r} has no analytic counterpart")
-    cfg = result.metadata["config"]
+    cfg = validate_config(result.metadata["config"])
     failed = {f["index"] for f in result.metadata["failed_jobs"]}
     jobs = [job for i, job in enumerate(spec.jobs(cfg)) if i not in failed]
     _require(len(jobs) == len(result.rows),
              f"result has {len(result.rows)} rows but its config gives {len(jobs)} jobs")
     noise = _noise_from_config(cfg["noise"])
+    _require("fidelity" in result.columns, f"result has no fidelity column: {result.columns}")
     col = result.columns.index("fidelity")
+    bad = [row[col] for row in result.rows if not isinstance(row[col], float)]
+    _require(not bad, f"fidelity column holds non-numbers: {bad}")
     rows = []
     for job, row in zip(jobs, result.rows):
         f, f_rate = row[col], _rate_model_fidelity(cfg, job, noise)

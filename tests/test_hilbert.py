@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from stabsim.hilbert import (
     StateError,
     annihilation,
     eigendecompose,
+    embed_local,
     expectation,
     local_annihilation,
     number_op,
@@ -22,6 +28,24 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+def kron_loop_embedding(layout, label, local):
+    # reference: one Kronecker product per subsystem, identities elsewhere
+    axis = layout.axis(label)
+    mat = np.eye(1, dtype=complex)
+    for i, (_, dim) in enumerate(layout.subsystems):
+        mat = np.kron(mat, local if i == axis else np.eye(dim, dtype=complex))
+    return mat
+
+
+EMBEDDING_LAYOUTS = [
+    (("q1", 2),),
+    (("q1", 2), ("r1", 8)),
+    (("q1", 2), ("q2", 2), ("r1", 2), ("r2", 2)),
+    (("q1", 2), ("q2", 2), ("r1", 3), ("r2", 3)),
+    (("q1", 2), ("q2", 2), ("r1", 4), ("r2", 2)),
+]
 
 
 def brute_force_index(levels):
@@ -62,6 +86,43 @@ class TestSpaceLayout:
         sub = LAYOUT.restricted({"r1", "q1"})
         assert sub.labels == ("q1", "r1")
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "3", True, float("nan"), None],
+                             ids=["fraction", "whole-float", "string", "bool", "nan", "none"])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(LayoutError, match=re.escape(f"q1 must be an integer, got {dim!r}")):
+            SpaceLayout((("q1", dim),))
+
+    def test_numpy_integer_dimension_accepted(self):
+        layout = SpaceLayout((("q1", np.int64(2)), ("r1", np.int32(3))))
+        assert layout == SpaceLayout((("q1", 2), ("r1", 3)))
+        assert type(layout.dims[1]) is int and type(layout.total_dim) is int
+
+    @pytest.mark.parametrize("key", ["gx01", "eg0-", "eg0 ", "EG01", "eg0\u00b2"])
+    def test_bad_state_string_character_rejected(self, key):
+        with pytest.raises(LayoutError, match="may hold only g, e and digits"):
+            LAYOUT.basis_state(key)
+
+    @pytest.mark.parametrize("subsystems", EMBEDDING_LAYOUTS[1:])
+    def test_derived_fields_survive_copies(self, subsystems):
+        layout = SpaceLayout(subsystems)
+        expected = (tuple(l for l, _ in subsystems), tuple(d for _, d in subsystems),
+                    int(np.prod([d for _, d in subsystems])))
+        for copied in (pickle.loads(pickle.dumps(layout)), copy.deepcopy(layout)):
+            assert copied == layout
+            assert (copied.labels, copied.dims, copied.total_dim) == expected
+        replaced = dataclasses.replace(LAYOUT, subsystems=subsystems)
+        assert replaced == layout
+        assert (replaced.labels, replaced.dims, replaced.total_dim) == expected
+
+    def test_equality_and_hash_follow_subsystems(self):
+        a = SpaceLayout((("q1", 2), ("r1", 3)))
+        b = SpaceLayout([["q1", 2], ["r1", 3]])
+        assert a == b and hash(a) == hash(b)
+        assert a != SpaceLayout((("q1", 2), ("r1", 4)))
+        assert len({a, b, LAYOUT}) == 2
+        assert type(a.total_dim) is int and type(LAYOUT.total_dim) is int
+        assert "total_dim" not in repr(a)
+
 
 class TestAnnihilation:
     def test_two_level_lowering(self):
@@ -95,6 +156,34 @@ class TestAnnihilation:
             n = number_op(LAYOUT, label)
             assert np.max(np.abs(n.entries - n.entries.conj().T)) < 1e-12
             assert n.hermitian
+
+
+class TestEmbedLocal:
+    @pytest.mark.parametrize("subsystems", EMBEDDING_LAYOUTS)
+    def test_annihilation_equals_kron_loop_bitwise(self, subsystems):
+        layout = SpaceLayout(subsystems)
+        for label, dim in subsystems:
+            local = local_annihilation(dim)
+            got = embed_local(layout, label, local).entries
+            expected = kron_loop_embedding(layout, label, local)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert annihilation(layout, label).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("subsystems", EMBEDDING_LAYOUTS)
+    def test_complex_local_equals_kron_loop(self, subsystems):
+        # the same products in another association: equal values, though the
+        # sign of a zero entry may differ
+        layout = SpaceLayout(subsystems)
+        rng = np.random.default_rng(7)
+        for label, dim in subsystems:
+            local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            got = embed_local(layout, label, local).entries
+            assert np.array_equal(got, kron_loop_embedding(layout, label, local))
+
+    def test_local_shape_mismatch_rejected(self):
+        with pytest.raises(LayoutError, match="does not match dim 2 of r1"):
+            embed_local(LAYOUT, "r1", local_annihilation(3))
 
 
 class TestEigendecompose:

@@ -492,6 +492,43 @@ class TestCli:
         assert main(argv) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("summary_edit,csv_edit", [
+        (lambda s: s["metadata"].pop("kind"), None),
+        (lambda s: s["metadata"]["config"].pop("grid"), None),
+        ("metadata", None),  # the whole summary.json is this JSON string
+        (None, lambda t: t.replace("fidelity", "fid", 1)),
+        (None, lambda t: t.replace("\npsi,10,0.", "\npsi,10,abc", 1)),
+    ], ids=["metadata-without-kind", "config-without-grid", "summary-is-a-string",
+            "no-fidelity-column", "fidelity-not-a-number"])
+    def test_hand_edited_result_is_one_line_and_exit_1(self, summary_edit, csv_edit, tmp_path,
+                                                        capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"kind": "tphi_sweep", "families": ["psi"], "grid": {"tphi_us": [10.0, 30.0]}}))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out_dir), "--workers", "1"]) == 0
+        summary_path, csv_path = out_dir / "summary.json", out_dir / "result.csv"
+        if isinstance(summary_edit, str):
+            summary_path.write_text(json.dumps(summary_edit))
+        elif summary_edit is not None:
+            summary = json.loads(summary_path.read_text())
+            summary_edit(summary)
+            summary_path.write_text(json.dumps(summary))
+        if csv_edit is not None:
+            text = csv_path.read_text()
+            assert csv_edit(text) != text
+            csv_path.write_text(csv_edit(text))
+        capsys.readouterr()
+        assert main(["compare", str(out_dir), "--analytic"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_csv_row_of_the_wrong_length_rejected(self, tmp_path):
+        write_result(run_scenario(SMALL_KAPPA_SWEEP), tmp_path)
+        csv_path = tmp_path / "result.csv"
+        csv_path.write_text(csv_path.read_text() + "psi,0.5\n")
+        with pytest.raises(ConfigError, match="not a stabsim result table"):
+            read_result(tmp_path)
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_run_rejects_workers_below_one(self, workers, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
