@@ -217,15 +217,17 @@ def local_annihilation(dim: int) -> np.ndarray:
 
 
 def embed_local(layout: SpaceLayout, label: str, local: np.ndarray) -> ComplexOperator:
-    """Embed a single-subsystem operator by tensoring identities around it."""
+    """Embed a single-subsystem operator as I_left (x) local (x) I_right, block by block."""
     axis = layout.axis(label)
     if local.shape != (layout.dims[axis], layout.dims[axis]):
         raise LayoutError(
             f"local operator shape {local.shape} does not match dim {layout.dims[axis]} of {label}"
         )
     left, right = math.prod(layout.dims[:axis]), math.prod(layout.dims[axis + 1:])
-    mat = np.kron(np.kron(np.eye(left, dtype=complex), local), np.eye(right, dtype=complex))
-    return ComplexOperator(layout, mat)
+    mat = np.zeros((left, layout.dims[axis], right) * 2, dtype=complex)
+    a, b = np.ogrid[:left, :right]
+    mat[a, :, b, a, :, b] = local  # only the diagonal blocks are written
+    return ComplexOperator(layout, mat.reshape(layout.total_dim, layout.total_dim))
 
 
 def annihilation(layout: SpaceLayout, subsystem: str) -> ComplexOperator:

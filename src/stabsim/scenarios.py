@@ -771,7 +771,13 @@ def compare_analytic(result: SweepResult):
     if spec is None or spec.label is None:
         raise ConfigError(f"scenario kind {result.kind!r} has no analytic counterpart")
     cfg = validate_config(result.metadata["config"])
-    failed = {f["index"] for f in result.metadata["failed_jobs"]}
+    _require(cfg["kind"] == result.kind,
+             f"metadata.kind {result.kind!r} does not match the config's kind {cfg['kind']!r}")
+    failures = result.metadata["failed_jobs"]
+    _require(isinstance(failures, list)
+             and all(isinstance(f, dict) and type(f.get("index")) is int for f in failures),
+             f"metadata.failed_jobs must list objects with an integer index, got {failures!r}")
+    failed = {f["index"] for f in failures}
     jobs = [job for i, job in enumerate(spec.jobs(cfg)) if i not in failed]
     _require(len(jobs) == len(result.rows),
              f"result has {len(result.rows)} rows but its config gives {len(jobs)} jobs")

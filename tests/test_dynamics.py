@@ -10,11 +10,15 @@ from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from stabsim.builders import (
     RECIPES,
+    DriveSet,
     NoiseSpec,
+    RabiDrive,
+    SidebandDrive,
     build_color_variant,
     build_even_parity_system,
     build_lindblad,
     build_odd_parity_system,
+    build_qubit_block,
     LindbladProblem,
 )
 from stabsim.dynamics import (
@@ -222,7 +226,52 @@ class TestEvolvePaths:
         assert len(matrix_power_calls) == powers
 
 
+def kron_liouvillian(problem):
+    """Reference generator from dense Kronecker products of the full operators."""
+    h_eff = problem.hamiltonian.entries.astype(complex)
+    for op in problem.collapse_ops:
+        h_eff -= 0.5j * (op.entries.conj().T @ op.entries)
+    eye = np.eye(h_eff.shape[0], dtype=complex)
+    gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for op in problem.collapse_ops:
+        gen += np.kron(op.entries, op.entries.conj())
+    return gen
+
+
+ORACLE_NOISES = {
+    "all-channels": NoiseSpec(kappa1=0.5, kappa2=0.7, t1_q1=9.0, t1_q2=7.0, tphi_q1=11.0, tphi_q2=13.0),
+    # no qubit decay on q2 and no dephasing at all: fewer jump operators
+    "infinite-times": NoiseSpec(kappa1=0.5, kappa2=0.7, t1_q1=9.0, t1_q2=math.inf),
+}
+
+
 class TestLiouvillian:
+    @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=list(ORACLE_NOISES))
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 3, 3), (2, 2, 4, 2), (2, 2)])
+    def test_equals_kronecker_formula(self, dims, noise):
+        layout = SpaceLayout(tuple(zip(("q1", "q2", "r1", "r2"), dims)))
+        if len(dims) == 4:
+            # delta != 0 and W1 != W2, so no two drive terms coincide
+            hamiltonians = [build_color_variant(1.3, 0.2, 0.4, 0.3, recipe, layout) for recipe in RECIPES]
+        else:
+            hamiltonians = [build_qubit_block(DriveSet(
+                qq=SidebandDrive(color, 1.3, 0.2), rabi_q1=RabiDrive(0.4, 0.1), rabi_q2=RabiDrive(0.3),
+            )) for color in ("blue", "red")]
+        problems = [build_lindblad(h, noise) for h in hamiltonians]
+        # the noise operators are real; add a complex, sparse jump operator
+        d = layout.total_dim
+        rng = np.random.default_rng(d)
+        jump = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (rng.random((d, d)) < 0.2)
+        problems.append(LindbladProblem(
+            problems[0].hamiltonian, problems[0].collapse_ops + (ComplexOperator(layout, jump),),
+        ))
+        for problem in problems:
+            got, expected = liouvillian(problem), kron_liouvillian(problem)
+            nonzero = expected != 0
+            assert np.array_equal(got != 0, nonzero)
+            assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+            assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("builder, layout, noise", [
         (build_even_parity_system, LAYOUT,
          NoiseSpec(kappa1=0.5, kappa2=0.7, t1_q1=9.0, t1_q2=7.0, tphi_q1=11.0)),

@@ -498,8 +498,11 @@ class TestCli:
         ("metadata", None),  # the whole summary.json is this JSON string
         (None, lambda t: t.replace("fidelity", "fid", 1)),
         (None, lambda t: t.replace("\npsi,10,0.", "\npsi,10,abc", 1)),
+        (lambda s: s["metadata"].update(failed_jobs=[1]), None),
+        (lambda s: s["metadata"].update(kind="kappa_sweep"), None),
     ], ids=["metadata-without-kind", "config-without-grid", "summary-is-a-string",
-            "no-fidelity-column", "fidelity-not-a-number"])
+            "no-fidelity-column", "fidelity-not-a-number", "failed-job-not-an-object",
+            "kind-not-the-config-kind"])
     def test_hand_edited_result_is_one_line_and_exit_1(self, summary_edit, csv_edit, tmp_path,
                                                         capsys):
         cfg_path = tmp_path / "cfg.json"
