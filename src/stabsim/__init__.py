@@ -20,7 +20,6 @@ from .hilbert import (
     partial_trace,
 )
 from .builders import (
-    DriveSet,
     EnergyMatchingError,
     LindbladProblem,
     NoiseSpec,

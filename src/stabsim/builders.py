@@ -28,9 +28,7 @@ from .hilbert import (
     eigendecompose,
     number_op,
 )
-from .targets import TWO_QUBIT_LAYOUT, StabilizationTarget, _normalized
-
-COLORS = ("red", "blue")
+from .targets import TWO_QUBIT_LAYOUT, StabilizationTarget, _normalized, check_color
 
 # plan tolerances relative to max|E|: E_A+E_D-E_B-E_C, and the least ground gap E_B-E_A
 MATCHING_TOL = 1e-6
@@ -39,11 +37,6 @@ DEGENERATE_GAP_TOL = 1e-12
 
 class EnergyMatchingError(ValueError):
     """The two-qubit block violates E_A + E_D = E_B + E_C."""
-
-
-def _check_color(color: str):
-    if color not in COLORS:
-        raise ValueError(f"unknown sideband color {color!r}; expected one of {COLORS}")
 
 
 def _check_rate_and_detuning(kind: str, rate: float, detuning: float):
@@ -62,7 +55,7 @@ class SidebandDrive:
     detuning: float = 0.0
 
     def __post_init__(self):
-        _check_color(self.color)
+        check_color(self.color)
         _check_rate_and_detuning("sideband", self.rate, self.detuning)
 
 
@@ -75,16 +68,6 @@ class RabiDrive:
 
     def __post_init__(self):
         _check_rate_and_detuning("Rabi", self.rate, self.detuning)
-
-
-@dataclass(frozen=True)
-class DriveSet:
-    """The drives of a two-qubit block: at most one qubit-qubit sideband and
-    one Rabi drive per qubit."""
-
-    qq: Optional[SidebandDrive] = None
-    rabi_q1: Optional[RabiDrive] = None
-    rabi_q2: Optional[RabiDrive] = None
 
 
 @dataclass(frozen=True)
@@ -177,7 +160,7 @@ def _sideband_recipe(
     on q1, and resonator detunings sign*(Delta +- delta)/2."""
     qq_color, (c1, c2), sign = RECIPES[name]
     big_delta = math.hypot(omega, delta)
-    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, omega, delta)))
+    hqq = build_qubit_block(qq=SidebandDrive(qq_color, omega, delta))
     return assemble(
         hqq,
         SidebandDrive(c1, w1, sign * (big_delta + delta) / 2.0),
@@ -237,8 +220,13 @@ def build_color_variant(
     return _sideband_recipe(variant, omega, delta, w1, w2, layout)
 
 
-def build_qubit_block(drives: DriveSet) -> ComplexOperator:
-    """4x4 rotating-frame two-qubit Hamiltonian in the basis (gg, ge, eg, ee).
+def build_qubit_block(
+    qq: Optional[SidebandDrive] = None,
+    rabi_q1: Optional[RabiDrive] = None,
+    rabi_q2: Optional[RabiDrive] = None,
+) -> ComplexOperator:
+    """4x4 rotating-frame two-qubit Hamiltonian in the basis (gg, ge, eg, ee)
+    of at most one qubit-qubit sideband and one Rabi drive per qubit.
 
     The qubit-qubit sideband detuning sits on the q1-excited states; the
     split-detuning block of the Rabi-dressed family is
@@ -247,15 +235,14 @@ def build_qubit_block(drives: DriveSet) -> ComplexOperator:
     h = np.zeros((4, 4), dtype=complex)
     # a Rabi drive flips one qubit; its detuning shifts the states where it is excited
     for rabi, pairs, excited in (
-        (drives.rabi_q1, ((0, 2), (1, 3)), [2, 3]),
-        (drives.rabi_q2, ((0, 1), (2, 3)), [1, 3]),
+        (rabi_q1, ((0, 2), (1, 3)), [2, 3]),
+        (rabi_q2, ((0, 1), (2, 3)), [1, 3]),
     ):
         if rabi is not None:
             for i, j in pairs:
                 h[i, j] = h[j, i] = h[i, j] + rabi.rate / 2.0
             h[excited, excited] += rabi.detuning
-    if drives.qq is not None:
-        qq = drives.qq
+    if qq is not None:
         i, j = (0, 3) if qq.color == "blue" else (1, 2)
         h[i, j] = h[j, i] = h[i, j] + qq.rate / 2.0
         h[[2, 3], [2, 3]] += qq.detuning
@@ -307,7 +294,7 @@ def plan_stabilization(
     if len(colors) != 2:
         raise ValueError(f"plan_stabilization needs one color per qubit, got {colors!r}")
     for color in colors:
-        _check_color(color)
+        check_color(color)
     eigen = eigendecompose(hqq)
     e = eigen.values
     scale = max(np.max(np.abs(e)), 1e-30)

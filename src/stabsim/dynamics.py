@@ -98,7 +98,6 @@ class Trajectory:
 
     times: np.ndarray
     states: tuple
-    target: Optional[StabilizationTarget] = None
     fidelity: Optional[np.ndarray] = None
     purity: Optional[np.ndarray] = None
     parity: Optional[np.ndarray] = None
@@ -213,7 +212,7 @@ def evolve(
     if target is None:
         return Trajectory(grid, states)
     metrics = np.array([_qubit_metrics(s, target) for s in states], dtype=float)
-    return Trajectory(grid, states, target, *metrics.T)
+    return Trajectory(grid, states, *metrics.T)
 
 
 def _inverse_condition(mat, lu) -> float:

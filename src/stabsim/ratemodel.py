@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .targets import mirror_angle
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -46,29 +48,20 @@ class RateModel:
 def refilling_rate(w: float, kappa: float, theta: float, color: str = "blue") -> float:
     """Two-step refilling rate through a lossy resonator.
 
-    blue: W^2 cos^2(theta/2) kappa / (kappa^2 + W^2 cos^2(theta/2));
-    red uses sin^2(theta/2) instead.
+    blue: W^2 cos^2(theta/2) kappa / (kappa^2 + W^2 cos^2(theta/2)); red
+    takes theta through :func:`stabsim.targets.mirror_angle`.
     """
     if w <= 0 or kappa <= 0:
         raise ValueError("refilling rate needs positive W and kappa")
-    proj = _branching(theta, color)
-    coupling_sq = w * w * proj
+    coupling_sq = w * w * math.cos(mirror_angle(theta, color) / 2.0) ** 2
     return coupling_sq * kappa / (kappa * kappa + coupling_sq)
-
-
-def _branching(theta: float, color: str) -> float:
-    if color == "blue":
-        return math.cos(theta / 2.0) ** 2
-    if color == "red":
-        return math.sin(theta / 2.0) ** 2
-    raise ValueError(f"unknown sideband color {color!r}")
 
 
 def optimal_kappa(w: float, theta: float, color: str = "blue") -> float:
     """Resonator decay rate maximizing :func:`refilling_rate` at fixed W."""
     if w <= 0:
         raise ValueError("optimal kappa needs positive W")
-    return w * math.sqrt(_branching(theta, color))
+    return w * math.sqrt(math.cos(mirror_angle(theta, color) / 2.0) ** 2)
 
 
 def steady_populations(gamma_t: float, gamma: float, theta: float) -> tuple:
@@ -92,27 +85,20 @@ def steady_populations(gamma_t: float, gamma: float, theta: float) -> tuple:
     return (w, x, x, z)
 
 
-def _theta_eff(theta: float, color: str) -> float:
-    """theta for the blue sideband; pi - theta for the red one, whose decay branching flips."""
-    if color not in ("blue", "red"):
-        raise ValueError(f"unknown sideband color {color!r}")
-    return theta if color == "blue" else math.pi - theta
-
-
 def steady_fidelity(gamma_t: float, gamma: float, theta: float, color: str = "blue") -> float:
     """Steady-state target fidelity of the rate model.
 
     The blue-sideband scheme gives ((Gamma_t + gamma sin^2(theta/2)) /
-    (Gamma_t + gamma))^2; the red-sideband variant swaps in
-    cos^2(theta/2) because the decay branching toward the target flips.
+    (Gamma_t + gamma))^2; the red-sideband variant, whose decay branching
+    toward the target flips, reads it at the mirrored angle.
     """
-    return steady_populations(gamma_t, gamma, _theta_eff(theta, color))[0]
+    return steady_populations(gamma_t, gamma, mirror_angle(theta, color))[0]
 
 
 def rate_model(w: float, kappa: float, gamma: float, theta: float, color: str = "blue") -> RateModel:
     """Assemble the full rate model for one drive configuration."""
     gamma_t = refilling_rate(w, kappa, theta, color)
-    pops = steady_populations(gamma_t, gamma, _theta_eff(theta, color))
+    pops = steady_populations(gamma_t, gamma, mirror_angle(theta, color))
     return RateModel(gamma_t, gamma, theta, pops)
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .builders import (
     RECIPES,
-    DriveSet,
     NoiseSpec,
     RabiDrive,
     SidebandDrive,
@@ -254,8 +253,8 @@ def _family_drives(cfg: dict, family: str) -> dict:
     return drives
 
 
-def _bell_problem(family: str, drives: dict, noise: NoiseSpec, layout: SpaceLayout):
-    d = _drives_rad(drives)
+def _bell_problem(family: str, d: dict, noise: NoiseSpec, layout: SpaceLayout):
+    """The Bell recipe of `family` at rad/us drives `d`, and its target."""
     if family == "psi":
         h = build_even_parity_system(d["omega"], d["delta"], d["w1"], d["w2"], layout)
         return build_lindblad(h, noise), bell_psi_minus()
@@ -310,8 +309,9 @@ def _check_theta_grid(cfg: dict, raw: dict):
 
 
 def _pull_family_drives(cfg: dict, raw: dict):
-    if "family" in raw and "drives" not in raw:
-        cfg["drives"] = dict(FAMILY_DRIVES[cfg["family"]])
+    # a named family's drives, with any listed in the raw config on top
+    if "family" in raw:
+        cfg["drives"] = _merge(FAMILY_DRIVES[cfg["family"]], raw.get("drives", {}), "drives.")
 
 
 def _check_segments(cfg: dict, raw: dict):
@@ -323,7 +323,7 @@ def _check_segments(cfg: dict, raw: dict):
 
 
 def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    problem, target = _bell_problem(cfg["family"], cfg["drives"], noise, layout)
+    problem, target = _bell_problem(cfg["family"], _drives_rad(cfg["drives"]), noise, layout)
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, cfg["grid"]["t_max_us"] + 1e-9 * dt, dt)
     traj = evolve(problem, _ground_state(layout), grid, target=target)
@@ -358,7 +358,7 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
     segments = cfg["segments"]
     for seg, following in zip(segments, segments[1:]):
         t_switch += seg["duration_us"]
-        mask = (times >= t_switch) & (times <= t_switch + window)
+        mask = (times >= t_switch) & (times <= t_switch + min(window, following["duration_us"]))
         if mask.sum() < 5:
             continue
         try:
@@ -371,15 +371,14 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
 
 
 def _theta_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
-    return cfg["family"], cfg["drives"], noise, math.radians(job[1])
+    return cfg["family"], _drives_rad(cfg["drives"]), noise, math.radians(job[1])
 
 
 def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    family, drives, noise, theta = _theta_inputs(cfg, job, noise)
-    d = _drives_rad(drives)
+    family, d, noise, theta = _theta_inputs(cfg, job, noise)
     delta = delta_for_blending_angle(d["omega"], theta)
     qq_color, colors, swapped, target = _BLENDING[family]
-    hqq = build_qubit_block(DriveSet(qq=SidebandDrive(qq_color, d["omega"], delta)))
+    hqq = build_qubit_block(qq=SidebandDrive(qq_color, d["omega"], delta))
     rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
                                  noise, layout)
     target = target(theta)
@@ -393,25 +392,26 @@ def _with_kappa(noise: NoiseSpec, kappa_mhz: float) -> NoiseSpec:
 def _tphi_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     family, tphi = job[0], float(job[1])
     noise = replace(noise, tphi_q1=tphi, tphi_q2=tphi)
-    return family, _family_drives(cfg, family), noise, math.pi / 2.0
+    return family, _drives_rad(_family_drives(cfg, family)), noise, math.pi / 2.0
 
 
 def _kappa_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     family, ratio = job
     drives = _family_drives(cfg, family)
-    return family, drives, _with_kappa(noise, ratio * float(drives["w1_mhz"])), math.pi / 2.0
+    noise = _with_kappa(noise, ratio * float(drives["w1_mhz"]))
+    return family, _drives_rad(drives), noise, math.pi / 2.0
 
 
 def _omega_kappa_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     om_mhz, kappa_mhz = job
-    drives = {"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz}
+    drives = _drives_rad({"omega_mhz": om_mhz, "w1_mhz": kappa_mhz, "w2_mhz": kappa_mhz})
     return cfg["family"], drives, _with_kappa(noise, kappa_mhz), math.pi / 2.0
 
 
 def _bell_steady(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec):
     """Reduced steady state and target of the job's Bell recipe."""
-    family, drives, noise, _ = KINDS[cfg["kind"]].inputs(cfg, job, noise)
-    problem, target = _bell_problem(family, drives, noise, layout)
+    family, d, noise, _ = KINDS[cfg["kind"]].inputs(cfg, job, noise)
+    problem, target = _bell_problem(family, d, noise, layout)
     return _qubit_state(steady_state(problem)), target
 
 
@@ -449,9 +449,7 @@ def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec)
     a1 = a_over_om * d["omega"]
     theta1 = dressing_angle(d["omega"], a1, branch)
     target = dressed_parity_state(theta1)
-    hqq = build_qubit_block(
-        DriveSet(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
-    )
+    hqq = build_qubit_block(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
     # each branch refills like the parity recipe with its qubit-qubit color
     colors = RECIPES["even_parity" if branch == "blue" else "odd_parity"].qr
     rq, _ = _planned_qubit_state(hqq, d, colors, noise, layout)
@@ -476,8 +474,7 @@ def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> 
 
 def _rate_model_fidelity(cfg: dict, job, noise: NoiseSpec) -> float:
     """Analytic steady-state fidelity of one job with scalar (mean) rates."""
-    family, drives, noise, theta = KINDS[cfg["kind"]].inputs(cfg, job, noise)
-    d = _drives_rad(drives)
+    family, d, noise, theta = KINDS[cfg["kind"]].inputs(cfg, job, noise)
     w = (d["w1"] + d["w2"]) / 2.0
     kappa = (noise.kappa1 + noise.kappa2) / 2.0
     gamma = (1.0 / noise.t1_q1 + 1.0 / noise.t1_q2) / 2.0
@@ -497,7 +494,7 @@ class KindSpec:
     `jobs(cfg)`.  Optional hooks: `check(cfg, raw)` validates (and may
     fill in) kind-specific fields, `summary(cfg, named_columns)` adds
     summary entries.  A kind with a rate-model counterpart has
-    `inputs(cfg, job, noise)`, the job's (family, MHz drives, NoiseSpec,
+    `inputs(cfg, job, noise)`, the job's (family, rad/us drives, NoiseSpec,
     blending angle), which its point and the rate model both read; with a
     `label`, a format string of the job's fields, :func:`compare_analytic`
     tabulates it.

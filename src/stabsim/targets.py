@@ -23,6 +23,21 @@ from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, eigendecompose
 
 TWO_QUBIT_LAYOUT = SpaceLayout((("q1", 2), ("q2", 2)))
 
+COLORS = ("red", "blue")
+
+
+def check_color(color: str):
+    """Raise ValueError unless `color` names a sideband color."""
+    if color not in COLORS:
+        raise ValueError(f"unknown sideband color {color!r}; expected one of {COLORS}")
+
+
+def mirror_angle(theta: float, color: str) -> float:
+    """`theta` under a blue sideband, pi - theta under a red one: an exchange
+    drive swaps the two branches of a mixing angle."""
+    check_color(color)
+    return theta if color == "blue" else math.pi - theta
+
 
 @dataclass(frozen=True)
 class StabilizationTarget:
@@ -126,12 +141,7 @@ def dressing_angle(omega: float, a1: float, color: str) -> float:
         raise ValueError("dressing angle needs a positive drive rate")
     if a1 < 0:
         raise ValueError("Rabi rate must be non-negative")
-    base = 2.0 * math.atan2(2.0 * a1, omega + math.hypot(2.0 * a1, omega))
-    if color == "blue":
-        return base
-    if color == "red":
-        return math.pi - base
-    raise ValueError(f"unknown sideband color {color!r}")
+    return mirror_angle(2.0 * math.atan2(2.0 * a1, omega + math.hypot(2.0 * a1, omega)), color)
 
 
 @dataclass(frozen=True)

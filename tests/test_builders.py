@@ -5,7 +5,6 @@ import pytest
 
 from stabsim import builders
 from stabsim.builders import (
-    DriveSet,
     EnergyMatchingError,
     NoiseSpec,
     RabiDrive,
@@ -179,16 +178,12 @@ class TestColorVariants:
 
 class TestQubitBlock:
     def test_product_block_eigenvalues(self):
-        h = build_qubit_block(
-            DriveSet(rabi_q1=RabiDrive(1.0, 0.0), rabi_q2=RabiDrive(1.0, 0.0))
-        )
+        h = build_qubit_block(rabi_q1=RabiDrive(1.0, 0.0), rabi_q2=RabiDrive(1.0, 0.0))
         assert np.allclose(np.linalg.eigvalsh(h.entries), [-1.0, 0.0, 0.0, 1.0])
 
     def test_pair_pump_plus_rabi_matrix(self):
         omega, a1 = 1.3, 0.7
-        h = build_qubit_block(
-            DriveSet(qq=SidebandDrive("blue", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
-        )
+        h = build_qubit_block(qq=SidebandDrive("blue", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
         expected = np.array(
             [
                 [0, 0, a1 / 2, omega / 2],
@@ -201,9 +196,7 @@ class TestQubitBlock:
 
     def test_exchange_plus_rabi_matrix(self):
         omega, a1 = 1.3, 0.7
-        h = build_qubit_block(
-            DriveSet(qq=SidebandDrive("red", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
-        )
+        h = build_qubit_block(qq=SidebandDrive("red", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
         expected = np.array(
             [
                 [0, 0, a1 / 2, 0],
@@ -213,6 +206,14 @@ class TestQubitBlock:
             ]
         )
         assert np.allclose(h.entries, expected)
+
+    def test_blue_rabi_block_plus_split_diagonal_is_rabi_dressed_block(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            omega, a1, delta = rng.uniform(0.1, 10.0, 3)
+            h = build_qubit_block(qq=SidebandDrive("blue", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
+            split = h.entries + np.diag([-delta / 2.0, delta / 2.0, -delta / 2.0, delta / 2.0])
+            assert split.tobytes() == rabi_dressed_block(delta, a1, omega).entries.tobytes()
 
     def test_split_detuning_block(self):
         omega, delta, a1 = 2.0, 0.8, 0.5
@@ -228,7 +229,7 @@ class TestQubitBlock:
         assert np.allclose(h.entries, expected)
 
     def test_ground_state_at_zero_detuning(self):
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", 2.0, 0.0)))
+        h = build_qubit_block(qq=SidebandDrive("blue", 2.0, 0.0))
         block = h.entries[np.ix_([0, 3], [0, 3])]
         assert np.allclose(block, [[0, 1.0], [1.0, 0]])
         vals, vecs = np.linalg.eigh(h.entries)
@@ -240,24 +241,18 @@ def random_block(kind, rng):
     lo, hi = 0.1, 10.0
     if kind == "product":
         return build_qubit_block(
-            DriveSet(
-                rabi_q1=RabiDrive(rng.uniform(lo, hi), rng.uniform(lo, hi)),
-                rabi_q2=RabiDrive(rng.uniform(lo, hi), rng.uniform(lo, hi)),
-            )
+            rabi_q1=RabiDrive(rng.uniform(lo, hi), rng.uniform(lo, hi)),
+            rabi_q2=RabiDrive(rng.uniform(lo, hi), rng.uniform(lo, hi)),
         )
     if kind == "pair_pump_rabi":
         return build_qubit_block(
-            DriveSet(
-                qq=SidebandDrive("blue", rng.uniform(lo, hi), 0.0),
-                rabi_q1=RabiDrive(rng.uniform(lo, hi), 0.0),
-            )
+            qq=SidebandDrive("blue", rng.uniform(lo, hi), 0.0),
+            rabi_q1=RabiDrive(rng.uniform(lo, hi), 0.0),
         )
     if kind == "exchange_rabi":
         return build_qubit_block(
-            DriveSet(
-                qq=SidebandDrive("red", rng.uniform(lo, hi), 0.0),
-                rabi_q1=RabiDrive(rng.uniform(lo, hi), 0.0),
-            )
+            qq=SidebandDrive("red", rng.uniform(lo, hi), 0.0),
+            rabi_q1=RabiDrive(rng.uniform(lo, hi), 0.0),
         )
     omega = rng.uniform(lo, hi)
     delta = rng.uniform(lo, hi)
@@ -279,7 +274,7 @@ class TestEnergyMatching:
 
 class TestPlanStabilization:
     def test_bell_point_detunings(self):
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", TWO_PI * 2.0, 0.0)))
+        h = build_qubit_block(qq=SidebandDrive("blue", TWO_PI * 2.0, 0.0))
         plan = plan_stabilization(h, 0.3, 0.3)
         assert plan.qr1.detuning == pytest.approx(TWO_PI * 1.0, rel=1e-12)
         assert plan.qr2.detuning == pytest.approx(TWO_PI * 1.0, rel=1e-12)
@@ -296,7 +291,7 @@ class TestPlanStabilization:
             assert gaps == dets
 
     def test_violated_matching_rejected(self):
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", 2.0, 0.0)))
+        h = build_qubit_block(qq=SidebandDrive("blue", 2.0, 0.0))
         bad = h.entries.copy()
         bad[1, 1] += 0.05
         with pytest.raises(EnergyMatchingError):
@@ -304,21 +299,21 @@ class TestPlanStabilization:
 
     def test_assembled_system_matches_named_builder_at_bell_point(self):
         omega, w = TWO_PI * 2.0, TWO_PI * 0.47
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", omega, 0.0)))
+        h = build_qubit_block(qq=SidebandDrive("blue", omega, 0.0))
         plan = plan_stabilization(h, w, w, ("blue", "blue"))
         assembled = build_from_plan(plan, LAYOUT)
         named = build_even_parity_system(omega, 0.0, w, w, LAYOUT)
         assert np.max(np.abs(assembled.entries - named.entries)) < 1e-12
 
     def test_degenerate_block_rejected(self):
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("red", 0.0, 0.0)))
+        h = build_qubit_block(qq=SidebandDrive("red", 0.0, 0.0))
         with pytest.raises(ValueError, match="degenerate"):
             plan_stabilization(h, 0.1, 0.1)
 
     @pytest.mark.parametrize("colors", [("blue",), ("blue", "red", "red"), ()],
                              ids=["one", "three", "none"])
     def test_colors_must_be_one_per_qubit(self, colors):
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", 2.0, 0.0)))
+        h = build_qubit_block(qq=SidebandDrive("blue", 2.0, 0.0))
         with pytest.raises(ValueError, match="one color per qubit"):
             plan_stabilization(h, 0.1, 0.1, colors)
 
@@ -327,7 +322,7 @@ class TestPlanStabilization:
         # default theta grids (about 2e-5 of max|E|)
         omega = TWO_PI * 5.0
         delta = delta_for_blending_angle(omega, math.radians(179.5))
-        h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", omega, delta)))
+        h = build_qubit_block(qq=SidebandDrive("blue", omega, delta))
         plan = plan_stabilization(h, TWO_PI * 0.5, TWO_PI * 0.5)
         assert plan.qr1.detuning > 0 and plan.qr2.detuning > 0
 

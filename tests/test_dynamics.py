@@ -10,7 +10,6 @@ from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from stabsim.builders import (
     RECIPES,
-    DriveSet,
     NoiseSpec,
     RabiDrive,
     SidebandDrive,
@@ -254,9 +253,9 @@ class TestLiouvillian:
             # delta != 0 and W1 != W2, so no two drive terms coincide
             hamiltonians = [build_color_variant(1.3, 0.2, 0.4, 0.3, recipe, layout) for recipe in RECIPES]
         else:
-            hamiltonians = [build_qubit_block(DriveSet(
+            hamiltonians = [build_qubit_block(
                 qq=SidebandDrive(color, 1.3, 0.2), rabi_q1=RabiDrive(0.4, 0.1), rabi_q2=RabiDrive(0.3),
-            )) for color in ("blue", "red")]
+            ) for color in ("blue", "red")]
         problems = [build_lindblad(h, noise) for h in hamiltonians]
         # the noise operators are real; add a complex, sparse jump operator
         d = layout.total_dim

@@ -144,6 +144,28 @@ class TestSteadyFidelity:
         assert blue == pytest.approx(red)
 
 
+def branching(theta, color):
+    """Decay branching of each color written out directly: cos^2(theta/2)
+    for blue, sin^2(theta/2) for red.  The reference for the rate model,
+    which reads a red angle at its mirror pi - theta."""
+    return math.cos(theta / 2.0) ** 2 if color == "blue" else math.sin(theta / 2.0) ** 2
+
+
+class TestRedIsMirroredBlue:
+    # the mirror pi - theta rounds away the low bits of a small theta, so the
+    # red relative error grows like 1e-16 / theta^2 toward theta = 0
+    THETAS = np.radians(np.arange(0.5, 180.0, 0.5))
+
+    @pytest.mark.parametrize("color,rel", [("blue", 0.0), ("red", 1e-13)])
+    def test_matches_direct_branching(self, color, rel):
+        w, kappa = 1.3, 0.7
+        for theta in self.THETAS:
+            b = branching(theta, color)
+            rate = w * w * b * kappa / (kappa * kappa + w * w * b)
+            assert refilling_rate(w, kappa, theta, color) == pytest.approx(rate, rel=rel, abs=0)
+            assert optimal_kappa(w, theta, color) == pytest.approx(w * math.sqrt(b), rel=rel, abs=0)
+
+
 class TestRateMatrixSteadyState:
     def test_symmetric_two_state_chain(self):
         rates = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -70,6 +70,11 @@ class TestValidation:
         cfg = validate_config({"kind": "time_domain", "family": "phi"})
         assert cfg["drives"]["omega_mhz"] == FAMILY_DRIVES["phi"]["omega_mhz"]
 
+    @pytest.mark.parametrize("drives", [{"omega_mhz": 3.0}, {"w1_mhz": 0.4, "delta_mhz": 0.1}])
+    def test_family_with_partial_drives_fills_in_that_family(self, drives):
+        cfg = validate_config({"kind": "time_domain", "family": "phi", "drives": drives})
+        assert cfg["drives"] == {**FAMILY_DRIVES["phi"], **drives}
+
     def test_bad_noise_rejected(self):
         with pytest.raises(ValueError):
             validate_config(
@@ -227,6 +232,27 @@ class TestRunScenario:
         }
         fits = run_scenario(cfg).summary["switch_fits"]
         assert [fit["to_parity"] for fit in fits] == ["odd"]
+
+    @pytest.mark.parametrize("odd_us,tau_us", [(4.0, 1.5403), (3.0, 2.1873)])
+    def test_switch_fit_window_ends_at_the_next_switch(self, odd_us, tau_us):
+        # an 8 us window after the switch at 10 us would run into the next
+        # switch, back to even parity, and fit across both segments
+        cfg = {
+            "kind": "parity_switch",
+            "fit_window_us": 8.0,
+            "grid": {"dt_us": 0.1},
+            "segments": [
+                {"parity": "even", "duration_us": 10.0},
+                {"parity": "odd", "duration_us": odd_us},
+                {"parity": "even", "duration_us": 12.0},
+            ],
+        }
+        fits = run_scenario(cfg).summary["switch_fits"]
+        assert [(f["switch_t_us"], f["to_parity"]) for f in fits] == [
+            (10.0, "odd"), (10.0 + odd_us, "even")
+        ]
+        assert fits[0]["tau_us"] == pytest.approx(tau_us, abs=1e-4)
+        assert fits[0]["residual"] < 0.1
 
     def test_switch_fit_on_a_bound_is_left_out(self):
         # over 1 us after the switch the parity trace is nearly straight, and its

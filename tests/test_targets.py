@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from stabsim.builders import DriveSet, RabiDrive, SidebandDrive, build_qubit_block
+from stabsim.builders import RabiDrive, SidebandDrive, build_qubit_block, plan_stabilization
+from stabsim.ratemodel import optimal_kappa, rate_model, refilling_rate, steady_fidelity
 from stabsim.targets import (
     StabilizationTarget,
     bell_phi_minus,
@@ -50,7 +51,7 @@ class TestBlendingFamilies:
             delta = brentq(
                 lambda d: blending_angle(omega, d) - theta, -1e4, 1e4, xtol=1e-13
             )
-            h = build_qubit_block(DriveSet(qq=SidebandDrive("blue", omega, delta)))
+            h = build_qubit_block(qq=SidebandDrive("blue", omega, delta))
             vals, vecs = np.linalg.eigh(h.entries)
             ground = vecs[:, 0]
             overlap = abs(np.vdot(psi_theta(theta).amplitudes, ground)) ** 2
@@ -123,9 +124,7 @@ class TestDressedParity:
     def test_matches_ground_state_of_pair_pump_block(self):
         omega, a1 = 2.0, 1.0
         theta1 = dressing_angle(omega, a1, "blue")
-        h = build_qubit_block(
-            DriveSet(qq=SidebandDrive("blue", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
-        )
+        h = build_qubit_block(qq=SidebandDrive("blue", omega, 0.0), rabi_q1=RabiDrive(a1, 0.0))
         vals, vecs = np.linalg.eigh(h.entries)
         overlap = abs(np.vdot(dressed_parity_state(theta1).amplitudes, vecs[:, 0])) ** 2
         assert overlap > 1.0 - 1e-9
@@ -137,6 +136,27 @@ class TestDressedParity:
             a1 = rng.uniform(0.0, 10)
             total = dressing_angle(omega, a1, "blue") + dressing_angle(omega, a1, "red")
             assert total == pytest.approx(math.pi, abs=1e-12)
+
+
+# every public function that takes a sideband color, called with `color`
+COLOR_USERS = {
+    "SidebandDrive": lambda c: SidebandDrive(c, 1.0),
+    "plan_stabilization": lambda c: plan_stabilization(
+        build_qubit_block(qq=SidebandDrive("blue", 2.0)), 0.1, 0.1, ("blue", c)
+    ),
+    "dressing_angle": lambda c: dressing_angle(2.0, 1.0, c),
+    "refilling_rate": lambda c: refilling_rate(1.0, 1.0, 1.0, c),
+    "optimal_kappa": lambda c: optimal_kappa(1.0, 1.0, c),
+    "steady_fidelity": lambda c: steady_fidelity(0.5, 0.1, 1.0, c),
+    "rate_model": lambda c: rate_model(1.0, 1.0, 0.1, 1.0, c),
+}
+
+
+@pytest.mark.parametrize("name", list(COLOR_USERS))
+def test_unknown_color_rejected_alike(name):
+    with pytest.raises(ValueError) as exc:
+        COLOR_USERS[name]("x")
+    assert str(exc.value) == "unknown sideband color 'x'; expected one of ('red', 'blue')"
 
 
 class TestRabiDressed:
