@@ -6,16 +6,20 @@ The master equation
 
 is vectorized row-major in effective-Hamiltonian form, -i (H_eff (x) I -
 I (x) conj(H_eff)) + sum_k L_k (x) conj(L_k) with H_eff = H - (i/2) sum_k
-L_k^dag L_k, each term written only on its nonzero blocks.  It is
-integrated with fixed-step classical 4th-order Runge-Kutta; for this
-linear, time-independent generator the RK4 update is exactly the degree-4
-truncated exponential P_h.  Grid intervals that repeat often enough to pay
-for it are crossed with one precomputed product P_h^n each; the others
-take n Horner-form steps of four sparse products with the generator.  A
-steady state solves the vectorized generator with its first row replaced
-by the trace functional, through one sparse LU factorization; the same
-factor gives the conditioning estimate that rejects a kernel that is not
-one-dimensional.
+L_k^dag L_k, each term scattered only onto its nonzero entries.  When H
+commutes with a charge C = sum_s c_s n_s and every L_k shifts C by a fixed
+amount (a weak U(1) symmetry), the generator is block-diagonal in the
+charge gap k = C(i) - C(j) of a matrix entry rho_ij, so steady states are
+solved and states evolved one sector at a time; a problem without such a
+charge has one sector, the whole space.  Evolution is fixed-step classical
+4th-order Runge-Kutta; for this linear, time-independent generator the RK4
+update is exactly the degree-4 truncated exponential P_h.  Grid intervals
+that repeat often enough to pay for it are crossed with one precomputed
+product P_h^n each; the others take n Horner-form steps of four sparse
+products with the generator.  A steady state solves the k = 0 block with
+its first row replaced by the trace functional, through one sparse LU
+factorization; the same factor gives the conditioning estimate that
+rejects a kernel that is not one-dimensional.
 """
 
 from __future__ import annotations
@@ -61,20 +65,79 @@ class DegenerateSteadyStateError(RuntimeError):
     """The generator kernel is not one-dimensional."""
 
 
-def liouvillian(problem: LindbladProblem) -> np.ndarray:
-    """Dense H_eff-form generator acting on row-major vectorized density matrices."""
+def _levels(layout: SpaceLayout) -> np.ndarray:
+    """(d, n) level of each subsystem in each basis state, in basis-index order."""
+    return np.indices(layout.dims).reshape(len(layout.dims), -1).T
+
+
+def conserved_charge(problem: LindbladProblem) -> np.ndarray:
+    """Integer vector c in {-1, 0, 1}^n, one entry per subsystem, of a charge
+    C = sum_s c_s n_s that H conserves and every collapse operator shifts by
+    a fixed amount.
+
+    All 3^n candidates are tested at once against the exact zeros of the
+    operators.  Each candidate's sign is fixed by its first nonzero entry
+    being -1; of the charges that hold, the one with the smallest k = 0
+    sector wins, the first in lexicographic order on a tie.  Without such a
+    charge the result is c = 0, whose one sector is the whole space.
+    """
+    levels = _levels(problem.layout)
+    n = levels.shape[1]
+    candidates = np.indices((3,) * n).reshape(n, -1) - 1  # columns in lexicographic order
+    pairs = [np.nonzero(op.entries) for op in (problem.hamiltonian, *problem.collapse_ops)]
+    sizes = [len(r) for r, _ in pairs]
+    shifts = np.concatenate([levels[r] - levels[c] for r, c in pairs]
+                            + [np.zeros((1, n), dtype=int)]) @ candidates
+    # each entry shifts C as its operator's first entry does; H's as the zero row appended last
+    first = np.cumsum([0] + sizes[:-1])
+    first[0] = -1
+    holds = (shifts[:-1] == shifts[np.repeat(first, sizes)]).all(axis=0)
+    holds &= candidates[(candidates != 0).argmax(axis=0), np.arange(3 ** n)] == -1
+    if not holds.any():
+        return np.zeros(n, dtype=int)
+    charges = levels @ candidates[:, holds]
+    sector_sizes = (charges[:, None, :] == charges[None, :, :]).sum(axis=(0, 1))
+    return candidates[:, holds][:, np.argmin(sector_sizes)]
+
+
+def charge_gaps(problem: LindbladProblem) -> np.ndarray:
+    """k = C(i) - C(j) of each row-major entry i d + j, for the conserved charge C."""
+    charge = _levels(problem.layout) @ conserved_charge(problem)
+    return (charge[:, None] - charge[None, :]).reshape(-1)
+
+
+def liouvillian(problem: LindbladProblem, sector: Optional[np.ndarray] = None) -> np.ndarray:
+    """Dense H_eff-form generator acting on row-major vectorized density matrices.
+
+    With `sector`, an ascending array of row-major indices i d + j, only the
+    block of those rows and columns is scattered and returned.
+    """
     h_eff = problem.hamiltonian.entries.astype(complex)
     for op in problem.collapse_ops:
         h_eff -= 0.5j * (op.entries.conj().T @ op.entries)
-    d, diag = len(h_eff), np.arange(len(h_eff))
-    gen = np.zeros((d, d, d, d), dtype=complex)  # <i j|L|k l>; only nonzero blocks are written
-    gen[:, diag, :, diag] = -1j * h_eff
-    gen[diag, :, diag, :] += 1j * h_eff.conj()
+    d = len(h_eff)
+    if sector is None:
+        sector = np.arange(d * d)
+    where = np.full(d * d, -1)  # row-major index -> position in the sector, -1 outside it
+    where[sector] = np.arange(len(sector))
+    gen = np.zeros((len(sector), len(sector)), dtype=complex)
+
+    def scatter(rows, cols, values):
+        # each call writes an entry at most once, so += adds every value
+        rows, cols = where[rows], where[cols]
+        inside = (rows >= 0) & (cols >= 0)
+        gen[rows[inside], cols[inside]] += np.broadcast_to(values, inside.shape)[inside]
+
+    r, c = np.nonzero(h_eff)
+    v = h_eff[r, c][:, None]
+    other = np.arange(d)
+    scatter(d * r[:, None] + other, d * c[:, None] + other, -1j * v)  # <i j|L|k j> = -i H_eff[i, k]
+    scatter(r[:, None] + d * other, c[:, None] + d * other, 1j * v.conj())  # <i j|L|i l>
     for op in problem.collapse_ops:
-        r, c = np.nonzero(op.entries)  # unique pairs, so += writes each entry once
+        r, c = np.nonzero(op.entries)
         v = op.entries[r, c]
-        gen[r[:, None], r, c[:, None], c] += v[:, None] * v.conj()
-    return gen.reshape(d * d, d * d)
+        scatter(d * r[:, None] + r, d * c[:, None] + c, v[:, None] * v.conj())
+    return gen
 
 
 def max_rate(problem: LindbladProblem) -> float:
@@ -168,19 +231,19 @@ def evolve(
     `rho0` is the state at the first grid time.  The integration step is
     at most min(0.005 us, 1/(50 x fastest rate)) unless `max_step`
     overrides it; each grid interval is subdivided evenly into n steps of
-    size h so grid points are hit exactly.  When the u intervals sharing
-    (h, n) would spend more flops on dense steps (u n d^4) than forming
-    P_h^n is charged ((3 + m) d^6, m the products of the power), P_h^n is
-    formed once and applied once per interval; otherwise the n steps run
-    on the sparse generator.  States that drift outside trace or
-    positivity tolerances raise :class:`IntegrationError` rather than
-    passing silently.
+    size h so grid points are hit exactly.  The state is split by charge
+    gap k, and each sector that `rho0` occupies is evolved on its own block
+    of size B.  When the u intervals sharing (h, n) would spend more flops
+    on dense steps (u n B^2) than forming P_h^n is charged ((3 + m) B^3, m
+    the products of the power), P_h^n is formed once per sector and applied
+    once per interval; otherwise the n steps run on the sparse block.
+    States that drift outside trace or positivity tolerances raise
+    :class:`IntegrationError` rather than passing silently.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
     if rho0.layout != problem.layout:
         raise ValueError("initial state layout does not match the problem")
-    gen = csr_array(liouvillian(problem))
     step = max_step if max_step is not None else default_step(problem)
     if not (math.isfinite(step) and step > 0):
         raise ValueError("max_step must be finite and positive")
@@ -188,6 +251,10 @@ def evolve(
     d = layout.total_dim
     vec = rho0.entries.reshape(-1).astype(complex)
     states = [_wrap_state(layout, vec.reshape(d, d), grid[0])]
+    gaps = charge_gaps(problem)
+    sectors = [np.flatnonzero(gaps == k) for k in np.unique(gaps[vec != 0])]
+    gens = [csr_array(liouvillian(problem, sector)) for sector in sectors]
+    parts = [vec[sector] for sector in sectors]
     keys = []
     step_size = {}  # (round(h, 15), n) -> h of the first interval with that key
     for span in np.diff(grid):
@@ -196,18 +263,20 @@ def evolve(
         step_size.setdefault(key, span / n)
         keys.append(key)
     uses = Counter(keys)
-    propagators = {}
+    propagators = {}  # (sector number, key) -> P_h^n on that sector
     for key, t1 in zip(keys, grid[1:]):
         h, n = step_size[key], key[1]
-        # matrix_power takes bit_length + popcount - 2 products; forming P_h from the
-        # sparse generator costs less than the 3 dense products the rule still charges
-        if uses[key] * n > (3 + n.bit_length() + n.bit_count() - 2) * d * d:
-            if key not in propagators:
-                p_h = _rk4_steps(gen, h, 1, np.eye(d * d, dtype=complex))
-                propagators[key] = np.linalg.matrix_power(p_h, n)
-            vec = propagators[key] @ vec
-        else:
-            vec = _rk4_steps(gen, h, n, vec)
+        for q, (sector, gen) in enumerate(zip(sectors, gens)):
+            # matrix_power takes bit_length + popcount - 2 products; forming P_h from the
+            # sparse generator costs less than the 3 dense products the rule still charges
+            if uses[key] * n > (3 + n.bit_length() + n.bit_count() - 2) * len(sector):
+                if (q, key) not in propagators:
+                    p_h = _rk4_steps(gen, h, 1, np.eye(len(sector), dtype=complex))
+                    propagators[q, key] = np.linalg.matrix_power(p_h, n)
+                parts[q] = propagators[q, key] @ parts[q]
+            else:
+                parts[q] = _rk4_steps(gen, h, n, parts[q])
+            vec[sector] = parts[q]
         states.append(_wrap_state(layout, vec.reshape(d, d), t1))
     if target is None:
         return Trajectory(grid, states)
@@ -244,21 +313,44 @@ def _inverse_condition(mat, lu) -> float:
 
 
 def steady_state(problem: LindbladProblem) -> DensityMatrix:
-    """Steady state from one sparse LU solve of the trace-bordered generator.
+    """Steady state from one sparse LU solve of the trace-bordered k = 0 block.
 
-    Row 0 of the vectorized generator (the rho_00 equation, which the
-    others imply because the generator preserves the trace) is replaced by
-    the trace functional vec(I), and the system is solved for unit trace.
-    The solution is reshaped, Hermitized and normalized to unit trace.  An
-    exactly singular factor, or an estimated sigma_min/sigma_max of the
-    bordered matrix below ``KERNEL_TOL``, signals a kernel that is not
-    one-dimensional and raises :class:`DegenerateSteadyStateError`.
+    Every diagonal entry rho_ii has charge gap k = 0, and the generator maps
+    each sector of :func:`charge_gaps` into itself, so the state is solved
+    on the k = 0 block alone.  Its row for rho_00 (which the others imply,
+    because the generator preserves the trace) is replaced by the trace
+    functional, and the block is solved for unit trace.  The solution is
+    reshaped, Hermitized and normalized to unit trace.  An exactly singular
+    factor, or an estimated sigma_min/sigma_max of the bordered block below
+    ``KERNEL_TOL``, signals a kernel that is not one-dimensional and raises
+    :class:`DegenerateSteadyStateError`.
+
+    The k = 0 block alone decides uniqueness: a steady X != 0 with k != 0
+    forces a second steady state with k = 0.  Suppose the k = 0 kernel is
+    spanned by one state rho_0.  (1) The kernel is closed under X -> X^dag,
+    so it holds Y = X + X^dag, Hermitian, nonzero (X and X^dag lie in the
+    sectors k and -k) and traceless.  Y's positive and negative parts are
+    nonzero steady states (the semigroup is positive and trace preserving).
+    Their k = 0 parts, the averages over the U(1) action, are steady, so
+    both are multiples of rho_0, and a positive operator's support lies in
+    that of its average: every steady state, and so every kernel element,
+    lives on the support P of rho_0.
+    (2) P commutes with C and is invariant under H_eff and the L_j, so on
+    operators on P the generator is a Lindbladian with rho_0 faithful.  Its
+    adjoint's kernel is then the algebra F commuting with H, L_j and
+    L_j^dag on P (Frigerio, Commun. Math. Phys. 63, 269 (1978)), and each
+    sector's block of the adjoint is the adjoint of that block, so F holds
+    an A != 0 with charge gap k.  (3) A^dag A lies in F with k = 0 and is
+    no multiple of the identity: A raises C by k, so it annihilates P's
+    subspace of the highest charge (the lowest, for k < 0).  With the
+    identity it gives a two-dimensional k = 0 kernel, a contradiction.
     """
     d = problem.layout.total_dim
-    gen = liouvillian(problem)
-    gen[0] = 0.0
-    gen[0, :: d + 1] = 1.0
-    bordered = csc_array(gen)
+    sector = np.flatnonzero(charge_gaps(problem) == 0)
+    block = liouvillian(problem, sector)
+    block[0] = 0.0  # sector[0] is the rho_00 entry, and every rho_ii lies in k = 0
+    block[0, np.searchsorted(sector, np.arange(0, d * d, d + 1))] = 1.0
+    bordered = csc_array(block)
     try:
         lu = splu(bordered)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
@@ -268,9 +360,11 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
         raise DegenerateSteadyStateError(
             f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})"
         )
-    rhs = np.zeros(d * d, dtype=complex)
+    rhs = np.zeros(len(sector), dtype=complex)
     rhs[0] = 1.0
-    rho = lu.solve(rhs).reshape(d, d)
+    rho = np.zeros(d * d, dtype=complex)
+    rho[sector] = lu.solve(rhs)
+    rho = rho.reshape(d, d)
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / float(np.real(np.trace(rho)))
     return DensityMatrix(problem.layout, rho, trace_tol=1e-9, eig_tol=1e-7)

@@ -27,6 +27,8 @@ from stabsim.dynamics import (
     FitError,
     IntegrationError,
     ScheduleSegment,
+    charge_gaps,
+    conserved_charge,
     default_step,
     evolve,
     evolve_schedule,
@@ -36,6 +38,7 @@ from stabsim.dynamics import (
     steady_state,
 )
 from stabsim.hilbert import ComplexOperator, DensityMatrix, SpaceLayout, annihilation
+import stabsim.scenarios
 from stabsim.scenarios import run_scenario
 from stabsim.targets import bell_psi_minus
 
@@ -224,6 +227,22 @@ class TestEvolvePaths:
         run_scenario(config)
         assert len(matrix_power_calls) == powers
 
+    @pytest.mark.parametrize("grid, regrouped", [
+        (np.linspace(0.0, 5.0, 21), 9),  # 20 intervals of 238 steps: every sector regrouped
+        ([0.0, 0.5], 6),  # one interval of 476 steps: only the sectors of 1, 8 and 28 entries
+    ], ids=["regrouped", "mixed_paths"])
+    def test_several_sectors_match_per_step_products(self, matrix_power_calls, grid, regrouped):
+        problem = even_problem(LAYOUT)
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho0 = DensityMatrix(LAYOUT, m @ m.conj().T / np.trace(m @ m.conj().T).real)
+        # a full-rank state occupies all nine charge gaps k = -4 ... 4
+        assert np.unique(charge_gaps(problem)[rho0.entries.reshape(-1) != 0]).size == 9
+        traj = evolve(problem, rho0, grid)
+        assert len(matrix_power_calls) == regrouped
+        for state, vec in zip(traj.states, per_step_states(problem, rho0, grid)):
+            assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
+
 
 def kron_liouvillian(problem):
     """Reference generator from dense Kronecker products of the full operators."""
@@ -310,6 +329,58 @@ class TestLiouvillian:
             assert abs(np.trace(out)) < 1e-10
 
 
+@pytest.fixture
+def solved_problems(monkeypatch):
+    """Records the problem of each steady_state call a scenario makes."""
+    problems = []
+    real = stabsim.scenarios.steady_state
+
+    def recording(problem):
+        problems.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(stabsim.scenarios, "steady_state", recording)
+    return problems
+
+
+class TestConservedCharge:
+    @pytest.mark.parametrize("builder, charge", [
+        (build_even_parity_system, (-1, 1, 1, -1)),
+        (build_odd_parity_system, (-1, -1, -1, 1)),
+    ], ids=["even", "odd"])
+    @pytest.mark.parametrize("layout, size", [(LAYOUT, 70), (LAYOUT_D36, 262)], ids=["d16", "d36"])
+    def test_recipe_charge_and_sector_size(self, builder, charge, layout, size):
+        problem = build_lindblad(
+            builder(TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, layout), DEVICE_NOISE)
+        assert tuple(conserved_charge(problem)) == charge
+        assert np.count_nonzero(charge_gaps(problem) == 0) == size
+
+    def test_default_theta_spectroscopy(self, solved_problems):
+        run_scenario({"kind": "theta_spectroscopy", "grid": {"start_deg": 45.0, "stop_deg": 45.0}})
+        assert [tuple(conserved_charge(p)) for p in solved_problems] == [(-1, -1, 1, -1)]
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "dressed_parity_sweep", "grid": {"a1_over_omega": [0.0, 0.5]}},
+        {"kind": "rabi_dressed_map", "grid": {"delta_over_omega": [0.3], "a1_over_omega": [0.0, 0.5]}},
+    ], ids=["dressed_parity_sweep", "rabi_dressed_map"])
+    def test_rabi_drive_leaves_no_charge(self, solved_problems, config):
+        run_scenario(config)
+        # jobs alternate zero and nonzero Rabi amplitude
+        charged = [bool(conserved_charge(p).any()) for p in solved_problems]
+        assert charged == [True, False] * (len(charged) // 2) and charged
+        uncharged = solved_problems[1]
+        assert np.array_equal(charge_gaps(uncharged), np.zeros(256))
+
+    def test_no_operator_constraint_picks_smallest_sector(self):
+        # with H = 0 and one decay, every charge holds; c = (-1, -1) splits the
+        # 16 levels of q1 (x) r1 most finely
+        layout = SpaceLayout((("q1", 2), ("r1", 8)))
+        problem = LindbladProblem(ComplexOperator(layout, np.zeros((16, 16))),
+                                  (annihilation(layout, "q1"),))
+        assert tuple(conserved_charge(problem)) == (-1, -1)
+        assert np.count_nonzero(charge_gaps(problem) == 0) == 30
+
+
 class TestSteadyState:
     def test_undriven_system_relaxes_to_ground(self):
         h = build_even_parity_system(0.0, 0.0, 0.0, 0.0, LAYOUT)
@@ -357,6 +428,20 @@ class TestSteadyState:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(problem)
 
+    def test_dark_states_of_different_charge_detected(self):
+        # q2 is left alone, so |gg0> and |ge0> are both dark and their coherence,
+        # whose charge gap is not 0, is steady too
+        layout = SpaceLayout((("q1", 2), ("q2", 2), ("r1", 2)))
+        exchange = annihilation(layout, "q1").entries.conj().T @ annihilation(layout, "r1").entries
+        problem = LindbladProblem(ComplexOperator(layout, exchange + exchange.conj().T),
+                                  (annihilation(layout, "r1"),))
+        assert conserved_charge(problem)[1] != 0
+        kernel = scipy.linalg.null_space(liouvillian(problem))
+        assert kernel.shape[1] == 4
+        assert np.max(np.abs(kernel[charge_gaps(problem) != 0])) > 0.1
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(problem)
+
 
 def _random_problems(count=20):
     """Seeded d = 16 problems over every recipe, qubit T1/Tphi on and off."""
@@ -391,6 +476,29 @@ class TestSteadyStateReference:
         estimate = _inverse_condition(sparse, splu(sparse))
         assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_sector_condition_estimate_within_factor_two(self, problem):
+        sector = np.flatnonzero(charge_gaps(problem) == 0)
+        bordered = liouvillian(problem, sector)
+        bordered[0] = 0.0
+        bordered[0, np.searchsorted(sector, np.arange(0, 256, 17))] = 1.0
+        s = np.linalg.svd(bordered, compute_uv=False)
+        exact = s[-1] / s[0]
+        sparse = csc_array(bordered)
+        estimate = _inverse_condition(sparse, splu(sparse))
+        assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
+
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_sector_blocks_equal_kronecker_restriction(self, problem):
+        full = kron_liouvillian(problem)
+        gaps = charge_gaps(problem)
+        assert conserved_charge(problem).any()
+        for k in np.unique(gaps):
+            inside = gaps == k
+            sector = np.flatnonzero(inside)
+            assert np.array_equal(liouvillian(problem, sector), full[np.ix_(sector, sector)])
+            assert not full[np.ix_(inside, ~inside)].any()
+
 
 class TestSchedule:
     def test_single_segment_matches_evolve(self):
@@ -417,6 +525,25 @@ class TestSchedule:
         assert len(via_schedule.states) == grid.size
         for a, b in zip(direct.states, via_schedule.states):
             assert np.max(np.abs(a.entries - b.entries)) < 1e-12
+
+    def test_even_odd_even_matches_full_space_reference(self):
+        rates = {"even_parity": (TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47),
+                 "odd_parity": (TWO_PI * 3.0, 0.0, TWO_PI * 0.36, TWO_PI * 0.36)}
+        recipes = ("even_parity", "odd_parity", "even_parity")
+        segments = tuple(ScheduleSegment(0.3, r, *rates[r]) for r in recipes)
+        grid = np.linspace(0.0, 0.9, 10)
+        traj = evolve_schedule(DriveSchedule(segments, ground(LAYOUT), DEVICE_NOISE), grid)
+        expected = [ground(LAYOUT).entries.reshape(-1)]
+        for s, recipe in enumerate(recipes):
+            problem = build_lindblad(build_color_variant(*rates[recipe], recipe, LAYOUT), DEVICE_NOISE)
+            # each switch spreads the state over more charge gaps of the new charge
+            occupied = np.unique(charge_gaps(problem)[expected[-1] != 0])
+            assert np.array_equal(occupied, [[0], [-2, 0, 2], [-4, -2, 0, 2, 4]][s])
+            start = DensityMatrix(LAYOUT, expected[-1].reshape(16, 16), trace_tol=1e-6, eig_tol=1e-6)
+            expected += per_step_states(problem, start, grid[3 * s:3 * s + 4])[1:]
+        assert len(traj.states) == len(expected)
+        for state, vec in zip(traj.states, expected):
+            assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
 
     def test_splitting_segment_is_identity(self):
         grid = np.linspace(0.0, 2.0, 9)
