@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .hilbert import (
     ComplexOperator,
     DensityMatrix,
-    EigenSystem,
     SpaceLayout,
     annihilation,
     eigendecompose,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .hilbert import (
     ComplexOperator,
-    EigenSystem,
     SpaceLayout,
     annihilation,
     eigendecompose,
@@ -254,23 +253,21 @@ class StabilizationPlan:
     """Resonator detunings derived from a two-qubit block's eigenstructure."""
 
     hqq: ComplexOperator
-    eigen: EigenSystem
-    delta_big: float
     qr1: SidebandDrive
     qr2: SidebandDrive
     target: StabilizationTarget
 
 
-def _refill_coupling(eigen: EigenSystem, qubit: int, color: str) -> np.ndarray:
-    """|<A| o_q |X>| for X = each eigenstate, with o_q the refilling operator.
+def _refill_coupling(vectors: np.ndarray, qubit: int, color: str) -> np.ndarray:
+    """|<A| o_q |X>| for X = each eigenvector column, A the first, with o_q
+    the refilling operator.
 
     A blue sideband refills the target through o_q = a_q^dag (the photon
     is created together with a qubit excitation), a red one through
     o_q = a_q."""
     aq = annihilation(TWO_QUBIT_LAYOUT, f"q{qubit}").entries
     op = aq.conj().T if color == "blue" else aq
-    a = eigen.vector(0)
-    return np.abs(a.conj() @ op @ eigen.vectors)
+    return np.abs(vectors[:, 0].conj() @ op @ vectors)
 
 
 def plan_stabilization(
@@ -295,8 +292,7 @@ def plan_stabilization(
         raise ValueError(f"plan_stabilization needs one color per qubit, got {colors!r}")
     for color in colors:
         check_color(color)
-    eigen = eigendecompose(hqq)
-    e = eigen.values
+    e, vectors = eigendecompose(hqq)
     scale = max(np.max(np.abs(e)), 1e-30)
     mismatch = abs(e[0] + e[3] - e[1] - e[2])
     if mismatch > MATCHING_TOL * scale:
@@ -308,21 +304,18 @@ def plan_stabilization(
     gap_c = e[2] - e[0]
     if gap_b <= DEGENERATE_GAP_TOL * scale:
         raise ValueError(f"degenerate ground state (E_B-E_A = {gap_b:.3e}); no unique target")
-    m1 = _refill_coupling(eigen, 1, colors[0])
-    m2 = _refill_coupling(eigen, 2, colors[1])
+    m1 = _refill_coupling(vectors, 1, colors[0])
+    m2 = _refill_coupling(vectors, 2, colors[1])
     # r1 takes the gap of whichever middle state q1 connects to the target
     if m1[1] * m2[2] >= m1[2] * m2[1]:
         det1, det2 = gap_b, gap_c
     else:
         det1, det2 = gap_c, gap_b
-    target = _normalized("eigenstate", tuple(np.round(e, 12)), eigen.vector(0))
     return StabilizationPlan(
         hqq=hqq,
-        eigen=eigen,
-        delta_big=float(e[3] - e[0]),
         qr1=SidebandDrive(colors[0], w1, float(det1)),
         qr2=SidebandDrive(colors[1], w2, float(det2)),
-        target=target,
+        target=_normalized(vectors[:, 0]),
     )
 
 

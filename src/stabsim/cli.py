@@ -8,7 +8,7 @@ import os
 import sys
 
 from .scenarios import (
-    SCENARIO_INFO,
+    KINDS,
     ConfigError,
     compare_analytic,
     default_config,
@@ -43,9 +43,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    width = max(len(k) for k in SCENARIO_INFO)
-    for kind, info in SCENARIO_INFO.items():
-        print(f"{kind:<{width}}  {info}")
+    width = max(len(k) for k in KINDS)
+    for kind, spec in KINDS.items():
+        print(f"{kind:<{width}}  {spec.mirrors}")
     return 0
 
 

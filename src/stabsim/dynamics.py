@@ -371,9 +371,17 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
 
 
 def generator_residual(problem: LindbladProblem, rho: DensityMatrix) -> float:
-    """max|L(rho)| as a consistency check for steady states."""
-    gen = liouvillian(problem)
-    return float(np.max(np.abs(gen @ rho.entries.reshape(-1))))
+    """max|L(rho)| as a consistency check for steady states, formed from the master
+    equation on the d x d matrix: it shares no code with :func:`liouvillian` or
+    the charge sectors."""
+    r = rho.entries
+    h = problem.hamiltonian.entries
+    out = -1j * (h @ r - r @ h)
+    for op in problem.collapse_ops:
+        l = op.entries
+        ldl = l.conj().T @ l
+        out += l @ r @ l.conj().T - 0.5 * (ldl @ r + r @ ldl)
+    return float(np.max(np.abs(out)))
 
 
 @dataclass(frozen=True)
@@ -416,11 +424,7 @@ class DriveSchedule:
         return sum(s.duration for s in self.segments)
 
 
-def evolve_schedule(
-    schedule: DriveSchedule,
-    grid: Sequence[float],
-    max_step: Optional[float] = None,
-) -> Trajectory:
+def evolve_schedule(schedule: DriveSchedule, grid: Sequence[float]) -> Trajectory:
     """Evolve through the schedule's segments, keeping the state continuous.
 
     The Lindblad problem is rebuilt for each segment from its drives and
@@ -449,7 +453,7 @@ def evolve_schedule(
         if t_end > local[-1] + BOUNDARY_TOL:
             local = np.append(local, t_end)
         h = build_color_variant(seg.omega, seg.delta, seg.w1, seg.w2, seg.builder, layout)
-        sub = evolve(build_lindblad(h, schedule.noise), rho, local, max_step=max_step)
+        sub = evolve(build_lindblad(h, schedule.noise), rho, local)
         states += [sub.states[0]] * n_start + list(sub.states[1:1 + seg_times.size - n_start])
         rho = sub.states[-1]
         t_start = t_end

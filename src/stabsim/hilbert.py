@@ -192,25 +192,6 @@ class DensityMatrix:
         return cls(layout, np.outer(ket, ket.conj()))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vecs = np.array(self.vectors, dtype=complex)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "vectors", vecs)
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.vectors[:, k]
-
-
 def local_annihilation(dim: int) -> np.ndarray:
     """Lowering operator on a single dim-level factor: (m, m+1) entries sqrt(m+1)."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
@@ -258,8 +239,9 @@ def fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigendecompose(op: ComplexOperator) -> EigenSystem:
-    """Eigendecomposition of a Hermitian operator with a fixed phase convention.
+def eigendecompose(op: ComplexOperator) -> tuple:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian
+    operator, read-only, with the phases fixed by :func:`fix_eigenvector_phases`.
 
     Raises
     ------
@@ -270,7 +252,10 @@ def eigendecompose(op: ComplexOperator) -> EigenSystem:
         raise ValueError("eigendecompose requires a Hermitian operator")
     sym = (op.entries + op.entries.conj().T) / 2.0
     values, vectors = np.linalg.eigh(sym)
-    return EigenSystem(values, fix_eigenvector_phases(vectors))
+    vectors = fix_eigenvector_phases(vectors)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

@@ -191,7 +191,8 @@ def _check_fields(node, field: Optional[str] = None, path: str = ""):
 
 def default_config(kind: str) -> dict:
     """Fully-populated default configuration for a scenario kind."""
-    _require(kind in SCENARIO_KINDS, f"unknown scenario kind {kind!r}; see list-scenarios")
+    # a JSON list or object is unhashable, so test the type before the dict lookup
+    _require(isinstance(kind, str) and kind in KINDS, f"unknown scenario kind {kind!r}; see list-scenarios")
     # a deep copy, so callers never share the module's default constants
     return {"kind": kind, "seed": 0, "resonator_dim": 2, **copy.deepcopy(KINDS[kind].defaults)}
 
@@ -312,6 +313,11 @@ def _pull_family_drives(cfg: dict, raw: dict):
     # a named family's drives, with any listed in the raw config on top
     if "family" in raw:
         cfg["drives"] = _merge(FAMILY_DRIVES[cfg["family"]], raw.get("drives", {}), "drives.")
+
+
+def _check_rate_model_compare(cfg: dict, raw: dict):
+    _check_theta_grid(cfg, raw)
+    _pull_family_drives(cfg, raw)
 
 
 def _check_segments(cfg: dict, raw: dict):
@@ -601,14 +607,10 @@ KINDS = {
                   "noise": dict(MEASURED_NOISE, tphi_us=None),
                   "grid": dict(_THETA_GRID_DEFAULT, step_deg=10.0)},
         columns=("theta_deg",) + _COMPARISON,
-        jobs=_theta_jobs, point=_rate_model_point, check=_check_theta_grid,
+        jobs=_theta_jobs, point=_rate_model_point, check=_check_rate_model_compare,
         inputs=_theta_inputs,
     ),
 }
-
-SCENARIO_INFO = {kind: spec.mirrors for kind, spec in KINDS.items()}
-
-SCENARIO_KINDS = tuple(KINDS)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,8 @@ def mirror_angle(theta: float, color: str) -> float:
 
 @dataclass(frozen=True)
 class StabilizationTarget:
-    """A pure two-qubit target state with its family tag and parameters."""
+    """A pure two-qubit target state: unit-norm amplitudes on (gg, ge, eg, ee)."""
 
-    family: str
-    params: tuple
     amplitudes: np.ndarray
 
     def __post_init__(self):
@@ -54,7 +52,6 @@ class StabilizationTarget:
             raise ValueError(f"target amplitudes have norm {norm}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "params", tuple(self.params))
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -68,23 +65,19 @@ class StabilizationTarget:
         return vec
 
 
-def _normalized(family: str, params: tuple, amps) -> StabilizationTarget:
+def _normalized(amps) -> StabilizationTarget:
     amps = np.asarray(amps, dtype=complex)
-    return StabilizationTarget(family, params, amps / np.linalg.norm(amps))
+    return StabilizationTarget(amps / np.linalg.norm(amps))
 
 
 def psi_theta(theta: float) -> StabilizationTarget:
     """Even-parity family sin(theta/2)|gg> - cos(theta/2)|ee>."""
-    return _normalized(
-        "psi_theta", (theta,), [math.sin(theta / 2), 0.0, 0.0, -math.cos(theta / 2)]
-    )
+    return _normalized([math.sin(theta / 2), 0.0, 0.0, -math.cos(theta / 2)])
 
 
 def phi_theta(theta: float) -> StabilizationTarget:
     """Odd-parity family sin(theta/2)|ge> - cos(theta/2)|eg>."""
-    return _normalized(
-        "phi_theta", (theta,), [0.0, math.sin(theta / 2), -math.cos(theta / 2), 0.0]
-    )
+    return _normalized([0.0, math.sin(theta / 2), -math.cos(theta / 2), 0.0])
 
 
 def bell_psi_minus() -> StabilizationTarget:
@@ -99,14 +92,14 @@ def product_state(phi1: float, phi2: float) -> StabilizationTarget:
     """Tensor product of cos(phi/2)|g> + sin(phi/2)|e> single-qubit states."""
     q1 = np.array([math.cos(phi1 / 2), math.sin(phi1 / 2)])
     q2 = np.array([math.cos(phi2 / 2), math.sin(phi2 / 2)])
-    return _normalized("product", (phi1, phi2), np.kron(q1, q2))
+    return _normalized(np.kron(q1, q2))
 
 
 def dressed_parity_state(theta1: float) -> StabilizationTarget:
     """cos(theta1/2) (gg - ee)/sqrt2 + sin(theta1/2) (ge - eg)/sqrt2."""
     c, s = math.cos(theta1 / 2), math.sin(theta1 / 2)
     amps = np.array([c, s, -s, -c]) / math.sqrt(2.0)
-    return _normalized("dressed_parity", (theta1,), amps)
+    return _normalized(amps)
 
 
 def blending_angle(omega: float, delta: float) -> float:
@@ -144,34 +137,15 @@ def dressing_angle(omega: float, a1: float, color: str) -> float:
     return mirror_angle(2.0 * math.atan2(2.0 * a1, omega + math.hypot(2.0 * a1, omega)), color)
 
 
-@dataclass(frozen=True)
-class RabiDressedCoefficients:
-    """Closed-form coefficients of the Rabi-dressed family.
+def rabi_dressed_coefficients(delta: float, a1: float, omega: float) -> np.ndarray:
+    """Unnormalized closed-form vector (E00, E01, E10, -1) of the Rabi-dressed
+    family in the (gg, ge, eg, ee) basis.
 
-    The unnormalized closed-form vector is (E00, E01, E10, -1) in the
-    (gg, ge, eg, ee) basis.  The closed form printed alongside the model
-    is internally inconsistent at some parameter points, so callers
-    should rely on :func:`rabi_dressed_state`'s numerical eigenvector and
-    use :func:`closed_form_residual` to quantify the discrepancy.
+    The closed form printed alongside the model is internally inconsistent
+    at some parameter points, so callers should rely on
+    :func:`rabi_dressed_state`'s numerical eigenvector and use
+    :func:`closed_form_residual` to quantify the discrepancy.
     """
-
-    x: float
-    y: float
-    e00: float
-    e01: float
-    e10: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"coefficient y must be positive, got {self.y}")
-        if self.x < 0:
-            raise ValueError(f"coefficient x must be non-negative, got {self.x}")
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.e00, self.e01, self.e10, -1.0], dtype=complex)
-
-
-def rabi_dressed_coefficients(delta: float, a1: float, omega: float) -> RabiDressedCoefficients:
     if omega <= 0:
         raise ValueError("coefficients need a positive drive rate")
     x = math.sqrt(4 * delta**2 * a1**2 + 4 * a1**2 * omega**2 + omega**4)
@@ -180,7 +154,10 @@ def rabi_dressed_coefficients(delta: float, a1: float, omega: float) -> RabiDres
     e00 = (delta - y) * (delta**2 + omega**2 + x + delta * y) / (2 * omega * denom)
     e01 = a1 * (delta - y) / denom
     e10 = -a1 * (delta**2 + omega**2 + x + delta * y) / (omega * denom)
-    return RabiDressedCoefficients(x, y, e00, e01, e10)
+    coeffs = np.array([e00, e01, e10, -1.0], dtype=complex)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"closed-form coefficients are not finite: {coeffs}")
+    return coeffs
 
 
 def rabi_dressed_block(delta: float, a1: float, omega: float) -> ComplexOperator:
@@ -200,21 +177,20 @@ def rabi_dressed_state(delta: float, a1: float, omega: float):
 
     Returns
     -------
-    (RabiDressedCoefficients, StabilizationTarget)
+    (ndarray, StabilizationTarget)
         The target is the minimal-energy eigenvector of the two-qubit
         block, with the phase fixed so its largest component is real
         positive; the coefficients are returned for cross-checking only.
     """
     coeffs = rabi_dressed_coefficients(delta, a1, omega)
-    ground = eigendecompose(rabi_dressed_block(delta, a1, omega)).vector(0)
-    target = _normalized("rabi_dressed", (delta, a1, omega), ground)
+    _, vectors = eigendecompose(rabi_dressed_block(delta, a1, omega))
+    target = _normalized(vectors[:, 0])
     return coeffs, target
 
 
 def closed_form_residual(delta: float, a1: float, omega: float) -> float:
     """||H v - lambda_min v|| for the normalized closed-form vector v."""
-    coeffs = rabi_dressed_coefficients(delta, a1, omega)
-    v = coeffs.vector()
+    v = rabi_dressed_coefficients(delta, a1, omega)
     v = v / np.linalg.norm(v)
     h = rabi_dressed_block(delta, a1, omega).entries
     lam = np.linalg.eigvalsh(h)[0]

@@ -38,6 +38,7 @@ from stabsim.dynamics import (
     steady_state,
 )
 from stabsim.hilbert import ComplexOperator, DensityMatrix, SpaceLayout, annihilation
+import stabsim.dynamics
 import stabsim.scenarios
 from stabsim.scenarios import run_scenario
 from stabsim.targets import bell_psi_minus
@@ -498,6 +499,27 @@ class TestSteadyStateReference:
             sector = np.flatnonzero(inside)
             assert np.array_equal(liouvillian(problem, sector), full[np.ix_(sector, sector)])
             assert not full[np.ix_(inside, ~inside)].any()
+
+
+class TestGeneratorResidual:
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_equals_kronecker_product(self, problem):
+        # a random state is Hermitian and not steady, so every term of L counts
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = DensityMatrix(LAYOUT, m @ m.conj().T / np.trace(m @ m.conj().T))
+        expected = np.max(np.abs(kron_liouvillian(problem) @ rho.entries.reshape(-1)))
+        assert expected > 1e-3
+        assert abs(generator_residual(problem, rho) - expected) <= 1e-12
+
+    def test_builds_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator_residual built the generator")
+
+        problem = even_problem(LAYOUT)
+        rho = steady_state(problem)
+        monkeypatch.setattr(stabsim.dynamics, "liouvillian", refuse)
+        assert generator_residual(problem, rho) < 1e-8
 
 
 class TestSchedule:

@@ -190,45 +190,49 @@ class TestEigendecompose:
     def test_diagonal_sorted(self):
         layout = SpaceLayout((("q1", 3),))
         op = ComplexOperator(layout, np.diag([3.0, 1.0, 2.0]).astype(complex))
-        es = eigendecompose(op)
-        assert np.allclose(es.values, [1.0, 2.0, 3.0])
+        values, _ = eigendecompose(op)
+        assert np.allclose(values, [1.0, 2.0, 3.0])
 
     def test_symmetric_two_level_block(self):
         # [[0, omega/2], [omega/2, delta]] with omega=2, delta=0
         layout = SpaceLayout((("q1", 2),))
         op = ComplexOperator(layout, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        es = eigendecompose(op)
-        assert np.allclose(es.values, [-1.0, 1.0])
+        values, _ = eigendecompose(op)
+        assert np.allclose(values, [-1.0, 1.0])
 
     def test_residuals_random(self):
         h = random_hermitian(16, seed=7)
-        es = eigendecompose(ComplexOperator(LAYOUT, h))
+        values, vectors = eigendecompose(ComplexOperator(LAYOUT, h))
         norm = np.linalg.norm(h, 2)
         for k in range(16):
-            res = np.linalg.norm(h @ es.vector(k) - es.values[k] * es.vector(k))
+            res = np.linalg.norm(h @ vectors[:, k] - values[k] * vectors[:, k])
             assert res < 1e-10 * norm
 
     def test_orthonormal(self):
-        es = eigendecompose(ComplexOperator(LAYOUT, random_hermitian(16, seed=3)))
-        gram = es.vectors.conj().T @ es.vectors
+        _, vectors = eigendecompose(ComplexOperator(LAYOUT, random_hermitian(16, seed=3)))
+        gram = vectors.conj().T @ vectors
         assert np.max(np.abs(gram - np.eye(16))) < 1e-10
 
     def test_reconstruction(self):
         for seed in range(5):
             h = random_hermitian(16, seed=seed)
-            es = eigendecompose(ComplexOperator(LAYOUT, h))
-            rebuilt = (es.vectors * es.values) @ es.vectors.conj().T
+            values, vectors = eigendecompose(ComplexOperator(LAYOUT, h))
+            rebuilt = (vectors * values) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - h)) < 1e-9 * np.linalg.norm(h, 2)
 
     def test_phase_convention_and_determinism(self):
         h = random_hermitian(16, seed=11)
-        es1 = eigendecompose(ComplexOperator(LAYOUT, h))
-        es2 = eigendecompose(ComplexOperator(LAYOUT, h.copy()))
-        assert np.array_equal(es1.vectors, es2.vectors)
+        _, vectors1 = eigendecompose(ComplexOperator(LAYOUT, h))
+        _, vectors2 = eigendecompose(ComplexOperator(LAYOUT, h.copy()))
+        assert np.array_equal(vectors1, vectors2)
         for k in range(16):
-            col = es1.vector(k)
+            col = vectors1[:, k]
             pivot = col[np.argmax(np.abs(col))]
             assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+    def test_returns_read_only_arrays(self):
+        values, vectors = eigendecompose(ComplexOperator(LAYOUT, random_hermitian(16, seed=5)))
+        assert not values.flags.writeable and not vectors.flags.writeable
 
     def test_rejects_non_hermitian(self):
         layout = SpaceLayout((("q1", 2),))

@@ -61,10 +61,16 @@ class TestValidation:
             )
 
     def test_defaults_complete(self):
-        for kind in scenarios.SCENARIO_KINDS:
+        for kind in scenarios.KINDS:
             cfg = validate_config({"kind": kind})
             assert cfg["kind"] == kind
             assert "seed" in cfg
+
+    @pytest.mark.parametrize("kind", [["time_domain"], {"time_domain": 1}, 3, None],
+                             ids=["list", "object", "number", "null"])
+    def test_kind_that_is_not_a_name_rejected(self, kind):
+        with pytest.raises(ConfigError, match="unknown scenario kind"):
+            validate_config({"kind": kind})
 
     def test_family_switch_pulls_drive_defaults(self):
         cfg = validate_config({"kind": "time_domain", "family": "phi"})
@@ -73,6 +79,15 @@ class TestValidation:
     @pytest.mark.parametrize("drives", [{"omega_mhz": 3.0}, {"w1_mhz": 0.4, "delta_mhz": 0.1}])
     def test_family_with_partial_drives_fills_in_that_family(self, drives):
         cfg = validate_config({"kind": "time_domain", "family": "phi", "drives": drives})
+        assert cfg["drives"] == {**FAMILY_DRIVES["phi"], **drives}
+
+    def test_rate_model_compare_family_pulls_its_drives(self):
+        cfg = validate_config({"kind": "rate_model_compare", "family": "phi"})
+        assert cfg["drives"] == FAMILY_DRIVES["phi"]
+
+    @pytest.mark.parametrize("drives", [{"omega_mhz": 3.0}, {"w1_mhz": 0.4, "delta_mhz": 0.1}])
+    def test_rate_model_compare_partial_drives_fill_in_that_family(self, drives):
+        cfg = validate_config({"kind": "rate_model_compare", "family": "phi", "drives": drives})
         assert cfg["drives"] == {**FAMILY_DRIVES["phi"], **drives}
 
     def test_bad_noise_rejected(self):
@@ -570,7 +585,7 @@ class TestCli:
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
-        for kind in scenarios.SCENARIO_KINDS:
+        for kind in scenarios.KINDS:
             assert kind in out
 
     def test_show_config(self, capsys):

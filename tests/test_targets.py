@@ -65,7 +65,7 @@ class TestStabilizationTarget:
                              ids=["nan", "nan_mixed", "inf", "norm_sqrt2"])
     def test_non_unit_amplitudes_rejected(self, amps):
         with pytest.raises(ValueError, match="norm"):
-            StabilizationTarget("x", (), amps)
+            StabilizationTarget(amps)
 
 
 class TestBlendingAngle:
@@ -169,8 +169,15 @@ class TestRabiDressed:
         # printed coefficients give (-1, 0, 0, -1) at the origin, which is
         # orthogonal to the actual ground state of the block
         coeffs = rabi_dressed_coefficients(0.0, 0.0, 2.0)
-        assert np.allclose(coeffs.vector(), [-1, 0, 0, -1])
+        assert np.allclose(coeffs, [-1, 0, 0, -1])
         assert closed_form_residual(0.0, 0.0, 2.0) > 0.5
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.3, 2.0), (0.1, math.nan, 2.0),
+                                      (math.inf, 0.3, 2.0), (0.1, 0.3, math.inf)],
+                             ids=["nan-delta", "nan-a1", "inf-delta", "inf-omega"])
+    def test_coefficients_reject_non_finite(self, args):
+        with pytest.raises(ValueError):
+            rabi_dressed_coefficients(*args)
 
     def test_strong_rabi_limit(self):
         # ground state of the dominant single-qubit drive: |-x> on q1 with
