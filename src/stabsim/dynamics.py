@@ -35,7 +35,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from .builders import RECIPES, LindbladProblem, NoiseSpec, build_color_variant, build_lindblad
-from .hilbert import DensityMatrix, SpaceLayout, partial_trace
+from .hilbert import DensityMatrix, SpaceLayout, StateError, partial_trace
 from .targets import StabilizationTarget, fidelity as state_fidelity, parity_signature, purity
 
 DEFAULT_MAX_STEP = 0.005  # us
@@ -166,22 +166,22 @@ class Trajectory:
     parity: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
+        for name in ("times", "fidelity", "purity", "parity"):
+            if getattr(self, name) is not None:
+                values = np.array(getattr(self, name), dtype=float)
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
         object.__setattr__(self, "states", tuple(self.states))
 
     def final_state(self) -> DensityMatrix:
         return self.states[-1]
 
 
-def _qubit_metrics(state: DensityMatrix, target: StabilizationTarget):
-    arr = partial_trace(state, {"q1", "q2"}).entries
-    return (
-        state_fidelity(arr, target),
-        purity(arr),
-        parity_signature(arr),
-    )
+def _qubit_metrics(states: tuple, target: StabilizationTarget) -> np.ndarray:
+    """(n, 3) fidelity, purity and parity of each state's two-qubit reduction."""
+    reduced = [r.entries for r in partial_trace(states, {"q1", "q2"})]
+    return np.array([(state_fidelity(arr, target), purity(arr), parity_signature(arr))
+                     for arr in reduced], dtype=float)
 
 
 def _check_grid(grid: np.ndarray):
@@ -193,15 +193,6 @@ def _check_grid(grid: np.ndarray):
         raise ValueError("time grid must start at t >= 0")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly ascending")
-
-
-def _wrap_state(layout: SpaceLayout, mat: np.ndarray, when: float) -> DensityMatrix:
-    try:
-        return DensityMatrix(
-            layout, mat, trace_tol=TRAJECTORY_TRACE_TOL, eig_tol=TRAJECTORY_EIG_TOL
-        )
-    except ValueError as exc:
-        raise IntegrationError(f"state at t = {when:.6g} us left physical bounds: {exc}") from exc
 
 
 def _rk4_steps(gen, h: float, n: int, vec: np.ndarray) -> np.ndarray:
@@ -237,8 +228,12 @@ def evolve(
     on dense steps (u n B^2) than forming P_h^n is charged ((3 + m) B^3, m
     the products of the power), P_h^n is formed once per sector and applied
     once per interval; otherwise the n steps run on the sparse block.
-    States that drift outside trace or positivity tolerances raise
-    :class:`IntegrationError` rather than passing silently.
+    Each sample is written into one (n, d, d) array, and after stepping the
+    whole array is checked once (:meth:`DensityMatrix.stack`) and, with a
+    target, reduced to the qubits by one :func:`partial_trace` call.  A
+    sample outside the trace or positivity tolerances raises
+    :class:`IntegrationError` naming the first such sample's time, rather
+    than passing silently.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
@@ -249,8 +244,9 @@ def evolve(
         raise ValueError("max_step must be finite and positive")
     layout = problem.layout
     d = layout.total_dim
-    vec = rho0.entries.reshape(-1).astype(complex)
-    states = [_wrap_state(layout, vec.reshape(d, d), grid[0])]
+    samples = np.zeros((grid.size, d, d), dtype=complex)
+    samples[0] = rho0.entries
+    vec = samples[0].reshape(-1)
     gaps = charge_gaps(problem)
     sectors = [np.flatnonzero(gaps == k) for k in np.unique(gaps[vec != 0])]
     gens = [csr_array(liouvillian(problem, sector)) for sector in sectors]
@@ -264,8 +260,9 @@ def evolve(
         keys.append(key)
     uses = Counter(keys)
     propagators = {}  # (sector number, key) -> P_h^n on that sector
-    for key, t1 in zip(keys, grid[1:]):
+    for i, key in enumerate(keys, start=1):
         h, n = step_size[key], key[1]
+        vec = samples[i].reshape(-1)  # a view: writing it fills sample i
         for q, (sector, gen) in enumerate(zip(sectors, gens)):
             # matrix_power takes bit_length + popcount - 2 products; forming P_h from the
             # sparse generator costs less than the 3 dense products the rule still charges
@@ -277,11 +274,14 @@ def evolve(
             else:
                 parts[q] = _rk4_steps(gen, h, n, parts[q])
             vec[sector] = parts[q]
-        states.append(_wrap_state(layout, vec.reshape(d, d), t1))
+    try:
+        states = DensityMatrix.stack(layout, samples, TRAJECTORY_TRACE_TOL, TRAJECTORY_EIG_TOL)
+    except StateError as exc:
+        raise IntegrationError(
+            f"state at t = {grid[exc.index]:.6g} us left physical bounds: {exc}") from exc
     if target is None:
         return Trajectory(grid, states)
-    metrics = np.array([_qubit_metrics(s, target) for s in states], dtype=float)
-    return Trajectory(grid, states, *metrics.T)
+    return Trajectory(grid, states, *_qubit_metrics(states, target).T)
 
 
 def _inverse_condition(mat, lu) -> float:

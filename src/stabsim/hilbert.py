@@ -27,6 +27,10 @@ CANONICAL_ORDER = ("q1", "q2", "r1", "r2")
 
 HERMITIAN_ATOL = 1e-9
 
+# a stacked check or partial trace takes its states in blocks of at most this many
+# bytes, so its temporaries stay small next to the stack itself
+BLOCK_BYTES = 2 ** 18
+
 
 class LayoutError(ValueError):
     """Unknown subsystem label, bad dimension or mismatched layouts."""
@@ -121,14 +125,15 @@ class SpaceLayout:
         return SpaceLayout(subs)
 
 
-def _checked_entries(entries, layout: SpaceLayout, what: str) -> np.ndarray:
-    """Read-only complex copy of a square matrix of the layout's dimension."""
-    arr = np.array(entries, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise LayoutError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != layout.total_dim:
+def _checked_entries(arr: np.ndarray, layout: SpaceLayout, what: str, ndim: int = 2) -> np.ndarray:
+    """`arr` made read-only, once its last two axes are checked to hold square
+    matrices of the layout's dimension: one matrix, or a stack of them (ndim 3)."""
+    if arr.ndim != ndim or arr.shape[-2] != arr.shape[-1]:
+        shape = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise LayoutError(f"expected {shape}, got shape {arr.shape}")
+    if arr.shape[-1] != layout.total_dim:
         raise LayoutError(
-            f"{what} dimension {arr.shape[0]} does not match layout dimension {layout.total_dim}"
+            f"{what} dimension {arr.shape[-1]} does not match layout dimension {layout.total_dim}"
         )
     arr.setflags(write=False)
     return arr
@@ -142,7 +147,8 @@ class ComplexOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _checked_entries(self.entries, self.layout, "operator"))
+        entries = np.array(self.entries, dtype=complex)
+        object.__setattr__(self, "entries", _checked_entries(entries, self.layout, "operator"))
 
     @property
     def hermitian(self) -> bool:
@@ -152,17 +158,83 @@ class ComplexOperator:
 
 
 class StateError(ValueError):
-    """Density matrix violates hermiticity, trace or positivity bounds."""
+    """Density matrix violates hermiticity, trace or positivity bounds.
+
+    `index` is the position of the failing state in a checked stack (0 for one
+    state).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+def _block_size(d: int) -> int:
+    """States of dimension d in one block of at most ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // (16 * d * d))
+
+
+def _check_states(stack: np.ndarray, trace_tol: float, eig_tol: float) -> None:
+    """Raise :class:`StateError` for the first state of an (n, d, d) stack that
+    is not a density matrix within the tolerances, with the message a check of
+    that state alone gives.  The stack is checked block by block, in order."""
+    size = _block_size(stack.shape[-1])
+    for start in range(0, len(stack), size):
+        found = _first_violation(stack[start:start + size], trace_tol, eig_tol)
+        if found is not None:
+            raise StateError(found[1], start + found[0])
+
+
+def _first_violation(stack: np.ndarray, trace_tol: float, eig_tol: float):
+    """(position, message) of the first state of an (n, d, d) stack that fails
+    a check, or None.
+
+    The checks run in this order: finite entries (before any arithmetic, so
+    no RuntimeWarning is raised), Hermiticity against max(1e-9, trace_tol),
+    unit trace, and positivity.  Positivity is screened by one batched
+    Cholesky factorization of (rho + rho^dag)/2 + eig_tol I.  Only if that
+    fails does eigvalsh decide each state, so the screen never rejects a
+    state that eigvalsh passes; it passes one that eigvalsh rejects only if
+    lambda_min lies within the factorization's backward error (about
+    d u ||rho||, 1e-14 here) of -eig_tol.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    n_finite = len(stack) if finite.all() else int(finite.argmin())
+    head = stack[:n_finite]
+    adjoint = head.conj().swapaxes(1, 2)
+    herm_err = np.abs(head - adjoint).max(axis=(1, 2))
+    trace = np.trace(head, axis1=1, axis2=2)
+    non_hermitian = herm_err >= max(HERMITIAN_ATOL, trace_tol)
+    bad = non_hermitian | (np.abs(trace - 1.0) >= trace_tol)
+    # the first state that fails a check before positivity; only those before it are factored
+    end = int(bad.argmax()) if bad.any() else n_finite
+    sym = (head[:end] + adjoint[:end]) / 2.0
+    try:
+        np.linalg.cholesky(sym + eig_tol * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+        low = min_eig < -eig_tol
+        if low.any():
+            i = int(low.argmax())
+            return i, f"minimum eigenvalue {min_eig[i]:.3e} below -{eig_tol:.1e}"
+    if end == len(stack):
+        return None
+    if end == n_finite:
+        return end, "state has non-finite entries"
+    if non_hermitian[end]:
+        return end, f"not Hermitian: max|rho - rho^dag| = {herm_err[end]:.3e}"
+    return end, f"trace {trace[end]} deviates from 1 beyond {trace_tol:.1e}"
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated quantum state on a layout.
 
-    Construction checks finite entries, hermiticity (1e-9), unit trace
-    (default 1e-9) and positivity (default min eigenvalue >= -1e-8).
-    Looser tolerances can be passed for states coming out of finite-step
-    integration.
+    Construction checks finite entries, hermiticity (max(1e-9, trace_tol)),
+    unit trace (default 1e-9) and positivity (default min eigenvalue
+    >= -1e-8).  Looser tolerances can be passed for states coming out of
+    finite-step integration.  :meth:`stack` runs the same checks once on a
+    whole stack of states.
     """
 
     layout: SpaceLayout
@@ -171,24 +243,37 @@ class DensityMatrix:
     eig_tol: float = 1e-8
 
     def __post_init__(self):
-        arr = _checked_entries(self.entries, self.layout, "state")
+        arr = _checked_entries(np.array(self.entries, dtype=complex), self.layout, "state")
         object.__setattr__(self, "entries", arr)
-        if not np.isfinite(arr).all():
-            raise StateError("state has non-finite entries")
-        herm_err = np.max(np.abs(arr - arr.conj().T))
-        if herm_err >= max(HERMITIAN_ATOL, self.trace_tol):
-            raise StateError(f"not Hermitian: max|rho - rho^dag| = {herm_err:.3e}")
-        tr = arr.trace()
-        if abs(tr - 1.0) >= self.trace_tol:
-            raise StateError(f"trace {tr} deviates from 1 beyond {self.trace_tol:.1e}")
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
-        if min_eig < -self.eig_tol:
-            raise StateError(f"minimum eigenvalue {min_eig:.3e} below -{self.eig_tol:.1e}")
+        _check_states(arr[None], self.trace_tol, self.eig_tol)
+
+    @classmethod
+    def stack(cls, layout: SpaceLayout, entries, trace_tol: float = 1e-9,
+              eig_tol: float = 1e-8) -> tuple:
+        """Check an (n, d, d) array of states once and return them as a tuple
+        of states that are read-only views of it, not checked again one by one.
+
+        A failing state raises :class:`StateError` with its position as
+        `index`.  `entries` is taken over, not copied, when it is a C-ordered
+        complex array that owns its memory; it is made read-only as a whole.
+        """
+        arr = np.require(entries, dtype=complex, requirements=["C", "O"])
+        arr = _checked_entries(arr, layout, "state", ndim=3)
+        _check_states(arr, trace_tol, eig_tol)
+        states = tuple(object.__new__(cls) for _ in range(len(arr)))
+        for state, view in zip(states, arr):
+            vars(state).update(layout=layout, entries=view, trace_tol=trace_tol, eig_tol=eig_tol)
+        return states
 
     @classmethod
     def from_ket(cls, layout: SpaceLayout, ket: np.ndarray) -> "DensityMatrix":
         ket = np.asarray(ket, dtype=complex).reshape(-1)
-        ket = ket / np.linalg.norm(ket)
+        if not np.isfinite(ket).all():
+            raise StateError("non-finite ket")
+        norm = np.linalg.norm(ket)
+        if norm == 0:
+            raise StateError("zero-norm ket")
+        ket = ket / norm
         return cls(layout, np.outer(ket, ket.conj()))
 
 
@@ -258,31 +343,48 @@ def eigendecompose(op: ComplexOperator) -> tuple:
     return values, vectors
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
+def partial_trace(rho, keep: Iterable[str]):
     """Reduced density matrix on the kept subsystem labels.
 
-    The kept factors preserve their canonical order; the trace is
-    preserved exactly up to floating point.
+    `rho` is one state, or a tuple of states on one layout with equal
+    tolerances: the tuple is traced as stacked tensors of at most
+    ``BLOCK_BYTES``, and its reduced states are checked once
+    (:meth:`DensityMatrix.stack`) and returned as a tuple.  The kept
+    factors preserve their canonical order; the trace is preserved exactly
+    up to floating point.
     """
     keep = set(keep)
     if not keep:
         raise LayoutError("keep set must not be empty")
-    layout = rho.layout
+    states = rho if isinstance(rho, tuple) else (rho,)
+    if not states:
+        raise ValueError("partial_trace needs at least one state")
+    first = states[0]
+    if any((s.layout, s.trace_tol, s.eig_tol) != (first.layout, first.trace_tol, first.eig_tol)
+           for s in states[1:]):
+        raise LayoutError("states traced together need one layout and equal tolerances")
+    layout = first.layout
     reduced_layout = layout.restricted(keep)
     n = len(layout.subsystems)
     dims = layout.dims
-    tensor = rho.entries.reshape(dims + dims)
     traced_axes = [i for i, (lbl, _) in enumerate(layout.subsystems) if lbl not in keep]
-    for offset, ax in enumerate(traced_axes):
-        ax_eff = ax - offset
-        tensor = np.trace(tensor, axis1=ax_eff, axis2=ax_eff + (n - offset))
     d_red = reduced_layout.total_dim
-    return DensityMatrix(
+    entries = np.empty((len(states), d_red, d_red), dtype=complex)
+    size = _block_size(layout.total_dim)
+    for start in range(0, len(states), size):
+        block = states[start:start + size]
+        tensor = np.stack([s.entries for s in block]).reshape((len(block),) + dims + dims)
+        for offset, ax in enumerate(traced_axes):
+            ax_eff = 1 + ax - offset  # axis 0 numbers the states
+            tensor = np.trace(tensor, axis1=ax_eff, axis2=ax_eff + (n - offset))
+        entries[start:start + len(block)] = tensor.reshape(len(block), d_red, d_red)
+    reduced = DensityMatrix.stack(
         reduced_layout,
-        tensor.reshape(d_red, d_red),
-        trace_tol=max(rho.trace_tol, 1e-9),
-        eig_tol=max(rho.eig_tol, 1e-8),
+        entries,
+        trace_tol=max(first.trace_tol, 1e-9),
+        eig_tol=max(first.eig_tol, 1e-8),
     )
+    return reduced if isinstance(rho, tuple) else reduced[0]
 
 
 def expectation(rho: DensityMatrix, op: ComplexOperator) -> complex:

@@ -349,8 +349,8 @@ def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) 
     traj = evolve_schedule(schedule, grid)
     psi_m, phi_m = bell_psi_minus(), bell_phi_minus()
     rows = []
-    for t, state in zip(traj.times, traj.states):
-        rq = _qubit_state(state)
+    for t, reduced in zip(traj.times, partial_trace(traj.states, {"q1", "q2"})):
+        rq = reduced.entries
         rows.append((float(t), parity_signature(rq), fidelity(rq, psi_m), fidelity(rq, phi_m)))
     return rows
 

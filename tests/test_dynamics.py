@@ -187,6 +187,58 @@ class TestEvolve:
             evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=10.0)
         assert bool(matrix_power_calls) == regrouped
 
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    @pytest.mark.parametrize("layout, grid, regrouped", [
+        # three stable 0.1 us steps, then 20 intervals of 200 10 us steps, regrouped
+        (QUBIT, np.concatenate(([0.0, 0.1, 0.2], np.linspace(0.3, 40000.3, 21))), True),
+        # two stable 0.1 us steps, then one interval of 200 10 us steps on the sparse block
+        (SpaceLayout((("q1", 2), ("r1", 8))), [0.0, 0.1, 0.2, 2000.2], False),
+    ], ids=["regrouped", "sparse"])
+    def test_integration_error_names_the_first_failing_sample(
+            self, matrix_power_calls, layout, grid, regrouped):
+        h = ComplexOperator(layout, np.zeros((layout.total_dim,) * 2, dtype=complex))
+        problem = LindbladProblem(h, (annihilation(layout, "q1"),))
+        excited = np.zeros(layout.total_dim)
+        excited[layout.total_dim // 2] = 1.0
+        first_bad = 4 if regrouped else 3
+        expected = (f"state at t = {grid[first_bad]:.6g} us left physical bounds: "
+                    "state has non-finite entries")
+        with pytest.raises(IntegrationError) as info:
+            evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=10.0)
+        assert str(info.value) == expected
+        assert info.value.__cause__.index == first_bad
+        assert bool(matrix_power_calls) == regrouped
+
+    @pytest.mark.parametrize("samples", [11, 101])
+    def test_samples_are_checked_as_one_stack(self, monkeypatch, samples):
+        rho0 = ground(LAYOUT)
+        calls = []
+        real = DensityMatrix.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        traj = evolve(even_problem(LAYOUT), rho0, np.linspace(0.0, 1.0, samples),
+                      target=bell_psi_minus())
+        assert len(traj.states) == samples
+        assert len(calls) <= 2
+
+    def test_trajectory_is_read_only(self):
+        traj = evolve(even_problem(LAYOUT), ground(LAYOUT), np.linspace(0.0, 1.0, 5),
+                      target=bell_psi_minus())
+        for values in (traj.times, traj.fidelity, traj.purity, traj.parity):
+            assert not values.flags.writeable
+        base = traj.states[0].entries.base
+        assert all(s.entries.base is base for s in traj.states)
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0, 0, 0] = 0.5
+        fidelity = np.ones(2)
+        copy = stabsim.dynamics.Trajectory([0.0, 1.0], traj.states[:2], fidelity=fidelity)
+        assert fidelity.flags.writeable and not copy.fidelity.flags.writeable
+
     @pytest.mark.parametrize("max_step", [math.nan, math.inf])
     def test_rejects_non_finite_max_step(self, max_step):
         problem = LindbladProblem(ComplexOperator(QUBIT, np.zeros((2, 2), dtype=complex)), ())

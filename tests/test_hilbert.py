@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import stabsim.hilbert
 from stabsim.hilbert import (
     ComplexOperator,
     DensityMatrix,
@@ -46,6 +47,33 @@ EMBEDDING_LAYOUTS = [
     (("q1", 2), ("q2", 2), ("r1", 3), ("r2", 3)),
     (("q1", 2), ("q2", 2), ("r1", 4), ("r2", 2)),
 ]
+
+
+def random_state(dim, seed, layout=LAYOUT):
+    """Full-rank random density matrix."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return DensityMatrix(layout, rho / np.trace(rho).real)
+
+
+def axis_by_axis_trace(rho, keep):
+    """One state's reduction, tracing out one axis pair of the (dims + dims) tensor at a time."""
+    labels, dims = rho.layout.labels, rho.layout.dims
+    tensor = rho.entries.reshape(dims + dims)
+    n = len(dims)
+    for offset, ax in enumerate(i for i, lbl in enumerate(labels) if lbl not in keep):
+        tensor = np.trace(tensor, axis1=ax - offset, axis2=ax - offset + n - offset)
+    d_red = rho.layout.restricted(keep).total_dim
+    return tensor.reshape(d_red, d_red)
+
+
+@pytest.fixture(params=[None, 3], ids=["one_block", "blocks_of_3"])
+def block_states(request, monkeypatch):
+    """Stacked checks and traces in one block, or in blocks of 3 states at d = 16."""
+    if request.param is not None:
+        monkeypatch.setattr(stabsim.hilbert, "BLOCK_BYTES", request.param * 16 * 16 * 16)
+    return request.param
 
 
 def brute_force_index(levels):
@@ -291,6 +319,29 @@ class TestPartialTrace:
         with pytest.raises(LayoutError):
             partial_trace(rho, set())
 
+    @pytest.mark.parametrize("resonator_dim", [2, 3])
+    @pytest.mark.parametrize("keep", [{"q1", "q2"}, {"q2"}, {"q1", "r2"}])
+    def test_tuple_equals_each_state_bit_for_bit(self, block_states, resonator_dim, keep):
+        layout = SpaceLayout((("q1", 2), ("q2", 2), ("r1", resonator_dim), ("r2", resonator_dim)))
+        states = tuple(random_state(layout.total_dim, seed, layout) for seed in range(7))
+        reduced = partial_trace(states, keep)
+        assert isinstance(reduced, tuple) and len(reduced) == len(states)
+        for state, r in zip(states, reduced):
+            single = partial_trace(state, keep)
+            assert r.layout == single.layout == layout.restricted(keep)
+            assert np.array_equal(r.entries, single.entries)
+            assert np.array_equal(single.entries, axis_by_axis_trace(state, keep))
+
+    def test_tuple_needs_one_layout_and_equal_tolerances(self):
+        other = SpaceLayout((("q1", 2), ("q2", 2), ("r1", 3), ("r2", 2)))
+        rho = DensityMatrix(LAYOUT, np.eye(16) / 16.0)
+        with pytest.raises(LayoutError):
+            partial_trace((rho, DensityMatrix(other, np.eye(24) / 24.0)), {"q1"})
+        with pytest.raises(LayoutError):
+            partial_trace((rho, DensityMatrix(LAYOUT, rho.entries, eig_tol=1e-6)), {"q1"})
+        with pytest.raises(ValueError):
+            partial_trace((), {"q1"})
+
 
 class TestExpectation:
     def test_identity(self):
@@ -344,3 +395,96 @@ class TestDensityMatrixValidation:
         two_qubits = SpaceLayout((("q1", 2), ("q2", 2)))
         with pytest.raises(StateError, match="non-finite"):
             DensityMatrix(two_qubits, np.diag([bad, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("ket, cause", [
+        (np.zeros(16), "zero-norm ket"),
+        (np.full(16, np.nan), "non-finite ket"),
+        (np.array([np.inf] + [0.0] * 15), "non-finite ket"),
+    ], ids=["zero", "nan", "inf"])
+    def test_from_ket_names_a_ket_it_cannot_normalize(self, ket, cause):
+        # dividing by such a norm would raise "invalid value" RuntimeWarnings
+        with pytest.raises(StateError, match=cause):
+            DensityMatrix.from_ket(LAYOUT, ket)
+
+
+def state_with_min_eigenvalue(dim, lam_min, seed):
+    """Unit-trace Hermitian matrix with smallest eigenvalue lam_min, in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rest = rng.uniform(0.5, 1.0, size=dim - 1)
+    values = np.concatenate(([lam_min], rest * (1.0 - lam_min) / rest.sum()))
+    return (q * values) @ q.conj().T
+
+
+def single_check_message(entries, **tols):
+    """None if one state's construction passes, else its StateError message."""
+    try:
+        DensityMatrix(LAYOUT, entries, **tols)
+    except StateError as exc:
+        return str(exc)
+    return None
+
+
+class TestStackedCheck:
+    """DensityMatrix.stack checks a stack once; each verdict and message must be those
+    of a single-state check, and positivity must agree with a per-state eigvalsh oracle."""
+
+    @pytest.mark.parametrize("eig_tol", [1e-8, 1e-6])
+    def test_positivity_matches_eigvalsh_oracle(self, block_states, eig_tol):
+        tols = {"trace_tol": 1e-6, "eig_tol": eig_tol}
+        levels = [0.0, 1e-3, -eig_tol * (1 - 1e-6), -eig_tol * (1 + 1e-6)]
+        samples = [state_with_min_eigenvalue(16, lam, seed)
+                   for seed in range(12) for lam in levels]
+        oracle = [np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0] < -eig_tol for s in samples]
+        assert oracle == [lam < -eig_tol for lam in levels] * 12
+        for sample, rejected in zip(samples, oracle):
+            assert (single_check_message(sample, **tols) is not None) == rejected
+        passing = [s for s, rejected in zip(samples, oracle) if not rejected]
+        assert len(DensityMatrix.stack(LAYOUT, np.array(passing), **tols)) == len(passing)
+        with pytest.raises(StateError) as info:
+            DensityMatrix.stack(LAYOUT, np.array(samples), **tols)
+        assert info.value.index == oracle.index(True)
+        assert str(info.value) == single_check_message(samples[info.value.index], **tols)
+
+    @pytest.mark.parametrize("plant", ["nan", "inf", "non_hermitian", "trace", "negative"])
+    def test_planted_sample_gives_its_single_state_verdict(self, block_states, plant):
+        stack = np.array([random_state(16, seed).entries for seed in range(9)])
+        bad = stack[4]
+        if plant in ("nan", "inf"):
+            bad[2, 3] = getattr(np, plant)
+        elif plant == "non_hermitian":
+            bad[0, 1] += 1e-3
+        elif plant == "trace":
+            bad *= 1.01
+        else:
+            stack[4] = state_with_min_eigenvalue(16, -1e-3, seed=4)
+        # a later sample failing another check must not hide the planted one
+        stack[6] *= 2.0
+        message = single_check_message(stack[4])
+        assert message is not None
+        with pytest.raises(StateError) as info:
+            DensityMatrix.stack(LAYOUT, stack)
+        assert (info.value.index, str(info.value)) == (4, message)
+
+    def test_states_are_read_only_views_checked_once(self, monkeypatch):
+        stack = np.array([random_state(16, seed).entries for seed in range(5)])
+        calls = []
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append(self))
+        states = DensityMatrix.stack(LAYOUT, stack, trace_tol=1e-6, eig_tol=1e-7)
+        assert calls == []
+        assert all(s.entries.base is stack and not s.entries.flags.writeable for s in states)
+        assert not stack.flags.writeable
+        assert all((s.layout, s.trace_tol, s.eig_tol) == (LAYOUT, 1e-6, 1e-7) for s in states)
+        for s, entries in zip(states, stack):
+            assert np.array_equal(s.entries, entries)
+
+    def test_a_view_is_copied_not_taken_over(self):
+        base = np.array([random_state(16, seed).entries for seed in range(3)])
+        states = DensityMatrix.stack(LAYOUT, base[1:])
+        assert base.flags.writeable
+        assert not np.shares_memory(states[0].entries, base)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 8), (2, 8, 8)])
+    def test_rejects_a_stack_of_the_wrong_shape(self, shape):
+        with pytest.raises(LayoutError):
+            DensityMatrix.stack(LAYOUT, np.zeros(shape, dtype=complex))
