@@ -13,10 +13,13 @@ charge gap k = C(i) - C(j) of a matrix entry rho_ij, so steady states are
 solved and states evolved one sector at a time; a problem without such a
 charge has one sector, the whole space.  Evolution is fixed-step classical
 4th-order Runge-Kutta; for this linear, time-independent generator the RK4
-update is exactly the degree-4 truncated exponential P_h.  Grid intervals
-that repeat often enough to pay for it are crossed with one precomputed
-product P_h^n each; the others take n Horner-form steps of four sparse
-products with the generator.  A steady state solves the k = 0 block with
+update is exactly the degree-4 truncated exponential P_h.  A grid interval
+of n steps is crossed in one of three ways: by one precomputed product
+P_h^n, when its interval repeats often enough to pay for the power; by
+dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and n mod 2^J with
+P_h; or by n Horner-form steps of four sparse products with the generator.
+A cost model fitted to measured timings picks between the last two.  A
+steady state solves the k = 0 block with
 its first row replaced by the trace functional, through one sparse LU
 factorization; the same factor gives the conditioning estimate that
 rejects a kernel that is not one-dimensional.
@@ -49,6 +52,25 @@ TRAJECTORY_EIG_TOL = 1e-6
 KERNEL_TOL = 1e-8
 # power steps taken at each end of that estimate
 CONDITION_STEPS = 4
+
+# Cost model that picks dense or sparse stepping for an interval key, in
+# seconds.  Fitted to best-of-5 and best-of-7 timings on a 2-core x86-64
+# machine with one BLAS thread (OpenBLAS 0.3.31, numpy 2.4), on the
+# even-parity generator's charge sectors of B = 28 ... 1,296 rows and 124
+# ... 7,847 stored entries.  At the k = 0 sectors, B = 70 / 262 / 646 with
+# 389 / 1,713 / 4,541 entries, repeated runs gave:
+#   a sparse Horner step   29-45 / 55-63 / 60-94 us
+#   forming dense P_h      0.20-0.28 / 2.9-4.4 / 25-31 ms
+#   zgemv (P @ vector)     2.7-4.5 / 23-33 / 289-348 us
+#   zgemm (P @ P)          0.06-0.08 / 2.4-3.7 / 36-37 ms
+# zgemv takes about 0.45 ns an entry while P fits in cache and 0.8 ns from
+# B = 480 on; the model's 0.6 ns lies between.
+SPARSE_STEP_S = 30e-6  # a sparse Horner step: per step,
+SPARSE_STEP_S_PER_NNZ = 15e-9  # plus per stored generator entry
+FORM_S_PER_NNZ_ROW = 10e-9  # forming P_h, per stored entry and row
+MATVEC_S = 1.5e-6  # a dense matrix-vector product: per product,
+MATVEC_S_PER_ENTRY = 0.6e-9  # plus per matrix entry
+SQUARE_S_PER_CUBE = 0.15e-9  # a dense square, per B^3
 
 # how far (us) a schedule grid time may pass a segment's end and still sample it
 BOUNDARY_TOL = 1e-12
@@ -210,6 +232,39 @@ def _rk4_steps(gen, h: float, n: int, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _dense_squarings(nnz: int, size: int, uses: int, n: int) -> Optional[int]:
+    """Squarings J that make dense stepping cheapest for `uses` intervals of n
+    steps on a block of `size` rows and `nnz` stored entries, or None when
+    the cost model charges n sparse Horner steps per interval less."""
+    matvec = MATVEC_S + MATVEC_S_PER_ENTRY * size ** 2
+    dense = [j * SQUARE_S_PER_CUBE * size ** 3 + uses * ((n >> j) + n % (1 << j)) * matvec
+             for j in range(n.bit_length())]
+    squarings = int(np.argmin(dense))
+    sparse = uses * n * (SPARSE_STEP_S + SPARSE_STEP_S_PER_NNZ * nnz)
+    if FORM_S_PER_NNZ_ROW * nnz * size + dense[squarings] < sparse:
+        return squarings
+    return None
+
+
+def _crossing(gen, h: float, n: int, uses: int) -> list:
+    """How each of `uses` intervals of n steps of size h crosses the block `gen`:
+    (dense matrix, products) pairs applied in order, or [] for n sparse steps."""
+    size = gen.shape[0]
+    # matrix_power takes bit_length + popcount - 2 products; forming P_h from the
+    # sparse generator costs less than the 3 dense products the rule still charges
+    if uses * n > (3 + n.bit_length() + n.bit_count() - 2) * size:
+        p_h = _rk4_steps(gen, h, 1, np.eye(size, dtype=complex))
+        return [(np.linalg.matrix_power(p_h, n), 1)]
+    squarings = _dense_squarings(gen.nnz, size, uses, n)
+    if squarings is None:
+        return []
+    p_h = _rk4_steps(gen, h, 1, np.eye(size, dtype=complex))
+    q = p_h
+    for _ in range(squarings):
+        q = q @ q
+    return [(q, n >> squarings), (p_h, n % (1 << squarings))]
+
+
 def evolve(
     problem: LindbladProblem,
     rho0: DensityMatrix,
@@ -224,10 +279,15 @@ def evolve(
     overrides it; each grid interval is subdivided evenly into n steps of
     size h so grid points are hit exactly.  The state is split by charge
     gap k, and each sector that `rho0` occupies is evolved on its own block
-    of size B.  When the u intervals sharing (h, n) would spend more flops
-    on dense steps (u n B^2) than forming P_h^n is charged ((3 + m) B^3, m
-    the products of the power), P_h^n is formed once per sector and applied
-    once per interval; otherwise the n steps run on the sparse block.
+    of size B.  The u intervals sharing (h, n) cross a block in one of three
+    ways.  When they would spend more flops on dense steps (u n B^2) than
+    forming P_h^n is charged ((3 + m) B^3, m the products of the power),
+    P_h^n is formed once per sector and applied once per interval.
+    Otherwise the cost model of ``SPARSE_STEP_S`` and the constants after it,
+    from B, the block's stored entries, u and n, picks the cheaper of dense
+    stepping, with P_h formed once and squared J times to Q = P_h^(2^J), then
+    floor(n / 2^J) products with Q and n mod 2^J with P_h per interval, and
+    n Horner-form steps on the sparse block.
     Each sample is written into one (n, d, d) array, and after stepping the
     whole array is checked once (:meth:`DensityMatrix.stack`) and, with a
     target, reduced to the qubits by one :func:`partial_trace` call.  A
@@ -259,20 +319,19 @@ def evolve(
         step_size.setdefault(key, span / n)
         keys.append(key)
     uses = Counter(keys)
-    propagators = {}  # (sector number, key) -> P_h^n on that sector
+    crossings = {}  # (sector number, key) -> _crossing on that sector
     for i, key in enumerate(keys, start=1):
         h, n = step_size[key], key[1]
         vec = samples[i].reshape(-1)  # a view: writing it fills sample i
         for q, (sector, gen) in enumerate(zip(sectors, gens)):
-            # matrix_power takes bit_length + popcount - 2 products; forming P_h from the
-            # sparse generator costs less than the 3 dense products the rule still charges
-            if uses[key] * n > (3 + n.bit_length() + n.bit_count() - 2) * len(sector):
-                if (q, key) not in propagators:
-                    p_h = _rk4_steps(gen, h, 1, np.eye(len(sector), dtype=complex))
-                    propagators[q, key] = np.linalg.matrix_power(p_h, n)
-                parts[q] = propagators[q, key] @ parts[q]
-            else:
+            crossing = crossings.get((q, key))
+            if crossing is None:
+                crossing = crossings[q, key] = _crossing(gen, h, n, uses[key])
+            if not crossing:
                 parts[q] = _rk4_steps(gen, h, n, parts[q])
+            for mat, products in crossing:
+                for _ in range(products):
+                    parts[q] = mat @ parts[q]
             vec[sector] = parts[q]
     try:
         states = DensityMatrix.stack(layout, samples, TRAJECTORY_TRACE_TOL, TRAJECTORY_EIG_TOL)

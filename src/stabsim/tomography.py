@@ -40,6 +40,10 @@ _ROTATIONS = {
     "Y90": (np.eye(2) - 1j * _SIGMA["Y"]) / _SQ2,
 }
 
+# the two-qubit pre-rotation of every (a, b) setting, built once
+_PAIR_ROTATIONS = {(a, b): np.kron(_ROTATIONS[a], _ROTATIONS[b])
+                   for a in _ROTATIONS for b in _ROTATIONS}
+
 # the 15 non-identity two-qubit Pauli operators, labels and matrices in the same order
 _PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]
 _PAULIS = np.stack([np.kron(_SIGMA[a], _SIGMA[b]) for a, b in _PAULI_LABELS])
@@ -140,7 +144,7 @@ def _rho_array(rho) -> np.ndarray:
 
 def _setting_unitaries(s: TomographySettings) -> np.ndarray:
     """Each setting's two-qubit pre-rotation, stacked as (settings, 4, 4)."""
-    return np.stack([np.kron(_ROTATIONS[a], _ROTATIONS[b]) for a, b in s.pre_rotations])
+    return np.stack([_PAIR_ROTATIONS[pair] for pair in s.pre_rotations])
 
 
 def setting_probabilities(rho, s: TomographySettings, readout_error: bool = True) -> np.ndarray:

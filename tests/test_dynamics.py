@@ -83,6 +83,32 @@ def matrix_power_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def crossings(monkeypatch, matrix_power_calls):
+    """Counts how evolve crosses its intervals, per sector: "regrouped" per P_h^n formed,
+    "dense" per P_h formed for dense stepping, "sparse" per interval of sparse steps."""
+    formed, sparse = [], []
+    real = stabsim.dynamics._rk4_steps
+
+    def counting(gen, h, n, vec):
+        (formed if vec.ndim == 2 else sparse).append(n)
+        return real(gen, h, n, vec)
+
+    monkeypatch.setattr(stabsim.dynamics, "_rk4_steps", counting)
+    return lambda: {"regrouped": len(matrix_power_calls),
+                    "dense": len(formed) - len(matrix_power_calls), "sparse": len(sparse)}
+
+
+def decay_problem(layout, drive):
+    """Decay of q1 at unit rate; a nonzero drive `drive` (a + a^dag) on the first and on
+    the last subsystem leaves no conserved charge, so the one sector is all d^2 entries."""
+    h = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for name in (layout.subsystems[0][0], layout.subsystems[-1][0]):
+        a = annihilation(layout, name).entries
+        h += drive * (a + a.conj().T)
+    return LindbladProblem(ComplexOperator(layout, h), (annihilation(layout, "q1"),))
+
+
 def dense_rk4_propagator(gen, h):
     """One-step RK4 propagator I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, from dense products."""
     hl = h * gen
@@ -171,43 +197,53 @@ class TestEvolve:
             evolve(problem, excited, [0.0, 2000.0], max_step=10.0)
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
-    @pytest.mark.parametrize("layout, grid, regrouped", [
-        # 20 intervals of 200 steps each against d^2 = 4: the interval propagator is formed
-        (QUBIT, np.linspace(0.0, 40000.0, 21), True),
-        # one interval of 200 steps against d^2 = 256: sparse steps
-        (SpaceLayout((("q1", 2), ("r1", 8))), [0.0, 2000.0], False),
-    ], ids=["regrouped", "sparse"])
-    def test_diverged_state_raises_on_each_path(self, matrix_power_calls, layout, grid, regrouped):
-        # 10 us steps against a unit decay rate grow the excited population 291-fold a step
-        h = ComplexOperator(layout, np.zeros((layout.total_dim,) * 2, dtype=complex))
-        problem = LindbladProblem(h, (annihilation(layout, "q1"),))
+    @pytest.mark.parametrize("layout, drive, grid, max_step, path", [
+        # 20 intervals of 200 steps each against B = 2: the interval propagator is formed
+        (QUBIT, 0.0, np.linspace(0.0, 40000.0, 21), 10.0, "regrouped"),
+        # one interval of 200 steps on a 30-entry sector: dense steps
+        (SpaceLayout((("q1", 2), ("r1", 8))), 0.0, [0.0, 2000.0], 10.0, "dense"),
+        # one interval of 30 1000 us steps on all 256 entries: sparse steps
+        (SpaceLayout((("q1", 2), ("r1", 8))), 0.1, [0.0, 30000.0], 1000.0, "sparse"),
+    ], ids=["regrouped", "dense", "sparse"])
+    def test_diverged_state_raises_on_each_path(
+            self, matrix_power_calls, crossings, layout, drive, grid, max_step, path):
+        # 10 us steps against a unit decay rate grow the excited population 291-fold a
+        # step, 1000 us steps about 4e10-fold
+        problem = decay_problem(layout, drive)
         excited = np.zeros(layout.total_dim)
         excited[layout.total_dim // 2] = 1.0
         with pytest.raises(IntegrationError, match="non-finite"):
-            evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=10.0)
-        assert bool(matrix_power_calls) == regrouped
+            evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=max_step)
+        assert bool(matrix_power_calls) == (path == "regrouped")
+        assert crossings() == {p: int(p == path) for p in ("regrouped", "dense", "sparse")}
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
-    @pytest.mark.parametrize("layout, grid, regrouped", [
-        # three stable 0.1 us steps, then 20 intervals of 200 10 us steps, regrouped
-        (QUBIT, np.concatenate(([0.0, 0.1, 0.2], np.linspace(0.3, 40000.3, 21))), True),
-        # two stable 0.1 us steps, then one interval of 200 10 us steps on the sparse block
-        (SpaceLayout((("q1", 2), ("r1", 8))), [0.0, 0.1, 0.2, 2000.2], False),
-    ], ids=["regrouped", "sparse"])
+    @pytest.mark.parametrize("layout, drive, grid, max_step, path, counts", [
+        # three stable 0.1 us steps in dense steps, then 20 intervals of 200 10 us steps,
+        # regrouped under the 4 keys their rounded spans make
+        (QUBIT, 0.0, np.concatenate(([0.0, 0.1, 0.2], np.linspace(0.3, 40000.3, 21))), 10.0,
+         "regrouped", (4, 1, 0)),
+        # two stable 0.1 us steps, then one interval of 200 10 us steps, in dense steps
+        (SpaceLayout((("q1", 2), ("r1", 8))), 0.0, [0.0, 0.1, 0.2, 2000.2], 10.0, "dense",
+         (0, 2, 0)),
+        # two stable 0.1 us steps, then one interval of 30 1000 us steps, in sparse steps
+        (SpaceLayout((("q1", 2), ("r1", 8))), 0.1, [0.0, 0.1, 0.2, 30000.2], 1000.0, "sparse",
+         (0, 0, 3)),
+    ], ids=["regrouped", "dense", "sparse"])
     def test_integration_error_names_the_first_failing_sample(
-            self, matrix_power_calls, layout, grid, regrouped):
-        h = ComplexOperator(layout, np.zeros((layout.total_dim,) * 2, dtype=complex))
-        problem = LindbladProblem(h, (annihilation(layout, "q1"),))
+            self, matrix_power_calls, crossings, layout, drive, grid, max_step, path, counts):
+        problem = decay_problem(layout, drive)
         excited = np.zeros(layout.total_dim)
         excited[layout.total_dim // 2] = 1.0
-        first_bad = 4 if regrouped else 3
+        first_bad = 4 if path == "regrouped" else 3
         expected = (f"state at t = {grid[first_bad]:.6g} us left physical bounds: "
                     "state has non-finite entries")
         with pytest.raises(IntegrationError) as info:
-            evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=10.0)
+            evolve(problem, DensityMatrix.from_ket(layout, excited), grid, max_step=max_step)
         assert str(info.value) == expected
         assert info.value.__cause__.index == first_bad
-        assert bool(matrix_power_calls) == regrouped
+        assert bool(matrix_power_calls) == (path == "regrouped")
+        assert crossings() == dict(zip(("regrouped", "dense", "sparse"), counts))
 
     @pytest.mark.parametrize("samples", [11, 101])
     def test_samples_are_checked_as_one_stack(self, monkeypatch, samples):
@@ -258,33 +294,47 @@ class TestEvolve:
 
 
 class TestEvolvePaths:
-    """evolve regroups a repeated interval into P_h^n or steps the sparse generator;
-    both must give the states of one dense propagator product per step."""
+    """evolve regroups a repeated interval into P_h^n, crosses it in dense steps or steps
+    the sparse generator; each must give the states of one dense propagator product per step."""
 
-    @pytest.mark.parametrize("layout, grid, powers", [
-        (LAYOUT, np.linspace(0.0, 5.0, 21), [238]),  # 20 intervals of 238 steps: regrouped
-        (LAYOUT_D36, [0.0, 0.25, 0.5], []),  # 2 intervals of 398 steps: sparse
-    ], ids=["regrouped_d16", "sparse_d36"])
-    def test_matches_per_step_products(self, matrix_power_calls, layout, grid, powers):
+    @pytest.mark.parametrize("layout, grid, powers, path", [
+        (LAYOUT, np.linspace(0.0, 5.0, 21), [238], "regrouped"),  # 20 intervals of 238 steps
+        (LAYOUT_D36, [0.0, 0.25, 0.5], [], "dense"),  # 2 intervals of 398 steps
+        (LAYOUT_D36, [0.0, 0.02, 0.04], [], "sparse"),  # 2 intervals of 32 steps
+    ], ids=["regrouped_d16", "dense_d36", "sparse_d36"])
+    def test_matches_per_step_products(self, matrix_power_calls, crossings, layout, grid, powers,
+                                       path):
         problem = even_problem(layout)
         traj = evolve(problem, ground(layout), grid)
         assert matrix_power_calls == powers
+        expected = {"regrouped": 1, "dense": 1, "sparse": len(grid) - 1}
+        assert crossings() == {p: expected[p] * (p == path) for p in expected}
         for state, vec in zip(traj.states, per_step_states(problem, ground(layout), grid)):
             assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
 
-    @pytest.mark.parametrize("config, powers", [
-        ({"kind": "time_domain"}, 1),
-        ({"kind": "time_domain", "resonator_dim": 3, "grid": {"t_max_us": 0.5, "dt_us": 0.25}}, 0),
-    ], ids=["default_d16", "two_intervals_d36"])
-    def test_path_choice(self, matrix_power_calls, config, powers):
+    @pytest.mark.parametrize("config, powers, counts", [
+        ({"kind": "time_domain"}, 1, (1, 0, 0)),
+        ({"kind": "time_domain", "grid": {"t_max_us": 0.5, "dt_us": 0.25}}, 0, (0, 1, 0)),
+        ({"kind": "time_domain", "resonator_dim": 3, "grid": {"t_max_us": 0.5, "dt_us": 0.25}},
+         0, (0, 1, 0)),
+        ({"kind": "time_domain", "resonator_dim": 4, "grid": {"t_max_us": 0.5, "dt_us": 0.25}},
+         0, (0, 0, 2)),
+    ], ids=["default_d16", "two_intervals_d16", "two_intervals_d36", "two_intervals_d64"])
+    def test_path_choice(self, matrix_power_calls, crossings, config, powers, counts):
         run_scenario(config)
         assert len(matrix_power_calls) == powers
+        assert crossings() == dict(zip(("regrouped", "dense", "sparse"), counts))
 
-    @pytest.mark.parametrize("grid, regrouped", [
-        (np.linspace(0.0, 5.0, 21), 9),  # 20 intervals of 238 steps: every sector regrouped
-        ([0.0, 0.5], 6),  # one interval of 476 steps: only the sectors of 1, 8 and 28 entries
-    ], ids=["regrouped", "mixed_paths"])
-    def test_several_sectors_match_per_step_products(self, matrix_power_calls, grid, regrouped):
+    @pytest.mark.parametrize("grid, regrouped, counts", [
+        (np.linspace(0.0, 5.0, 21), 9, (9, 0, 0)),  # 20 intervals of 238 steps: every sector
+        # one interval of 476 steps: the sectors of 1, 8 and 28 entries regrouped, of 56 and
+        # 70 in dense steps
+        ([0.0, 0.5], 6, (6, 3, 0)),
+        # one interval of 2 steps: the sectors of 56 and 70 entries in sparse steps
+        ([0.0, 0.002], 0, (0, 6, 3)),
+    ], ids=["regrouped", "regrouped_and_dense", "dense_and_sparse"])
+    def test_several_sectors_match_per_step_products(self, matrix_power_calls, crossings, grid,
+                                                     regrouped, counts):
         problem = even_problem(LAYOUT)
         rng = np.random.default_rng(3)
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -293,6 +343,7 @@ class TestEvolvePaths:
         assert np.unique(charge_gaps(problem)[rho0.entries.reshape(-1) != 0]).size == 9
         traj = evolve(problem, rho0, grid)
         assert len(matrix_power_calls) == regrouped
+        assert crossings() == dict(zip(("regrouped", "dense", "sparse"), counts))
         for state, vec in zip(traj.states, per_step_states(problem, rho0, grid)):
             assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import stabsim.tomography
 from stabsim.hilbert import DensityMatrix
 from stabsim.targets import TWO_QUBIT_LAYOUT, bell_psi_minus, product_state
 from stabsim.tomography import (
@@ -303,3 +304,31 @@ class TestLoopReferences:
             rho = random_physical_state(100 + seed)
             got = setting_probabilities(rho, s)
             assert got.tobytes() == loop_setting_probabilities(rho, s).tobytes()
+
+
+def kron_setting_unitaries(s):
+    """Reference: one np.kron per setting on every call."""
+    return np.stack([np.kron(ROTATIONS[a], ROTATIONS[b]) for a, b in s.pre_rotations])
+
+
+class TestRotationTable:
+    """The pre-rotations built once at import against np.kron on every call."""
+
+    def test_table_equals_kron_bit_for_bit(self):
+        table = stabsim.tomography._PAIR_ROTATIONS
+        assert sorted(table) == sorted((a, b) for a in ROTATIONS for b in ROTATIONS)
+        for (a, b), rotation in table.items():
+            assert rotation.tobytes() == np.kron(ROTATIONS[a], ROTATIONS[b]).tobytes()
+
+    def test_counts_and_reconstruction_equal_per_call_kron(self, monkeypatch):
+        for seed in range(5):
+            rho = random_physical_state(200 + seed)
+            settings = TomographySettings(**READOUT, shots_per_setting=2000, rng_seed=seed)
+            counts = simulate_tomography(rho, settings)
+            rebuilt = reconstruct(counts)
+            with monkeypatch.context() as patch:
+                patch.setattr(stabsim.tomography, "_setting_unitaries", kron_setting_unitaries)
+                want_counts = simulate_tomography(rho, settings)
+                want_rebuilt = reconstruct(want_counts)
+            assert counts.counts.tobytes() == want_counts.counts.tobytes()
+            assert rebuilt.entries.tobytes() == want_rebuilt.entries.tobytes()
