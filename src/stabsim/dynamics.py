@@ -15,11 +15,10 @@ charge has one sector, the whole space.  Evolution is fixed-step classical
 4th-order Runge-Kutta; for this linear, time-independent generator the RK4
 update is exactly the degree-4 truncated exponential P_h.  A grid interval
 of n steps is crossed in one of three ways: by one precomputed product
-P_h^n, when its interval repeats often enough to pay for the power; by
-dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and n mod 2^J with
-P_h; or by n Horner-form steps of four sparse products with the generator.
-A cost model fitted to measured timings picks between the last two.  A
-steady state solves the k = 0 block with
+P_h^n; by dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and
+n mod 2^J with P_h; or by n Horner-form steps of four sparse products with
+the generator.  One cost model, fitted to measured timings, prices all
+three and picks the cheapest.  A steady state solves the k = 0 block with
 its first row replaced by the trace functional, through one sparse LU
 factorization; the same factor gives the conditioning estimate that
 rejects a kernel that is not one-dimensional.
@@ -53,7 +52,7 @@ KERNEL_TOL = 1e-8
 # power steps taken at each end of that estimate
 CONDITION_STEPS = 4
 
-# Cost model that picks dense or sparse stepping for an interval key, in
+# Cost model that picks how an interval key is crossed, in
 # seconds.  Fitted to best-of-5 and best-of-7 timings on a 2-core x86-64
 # machine with one BLAS thread (OpenBLAS 0.3.31, numpy 2.4), on the
 # even-parity generator's charge sectors of B = 28 ... 1,296 rows and 124
@@ -232,37 +231,32 @@ def _rk4_steps(gen, h: float, n: int, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _dense_squarings(nnz: int, size: int, uses: int, n: int) -> Optional[int]:
-    """Squarings J that make dense stepping cheapest for `uses` intervals of n
-    steps on a block of `size` rows and `nnz` stored entries, or None when
-    the cost model charges n sparse Horner steps per interval less."""
-    matvec = MATVEC_S + MATVEC_S_PER_ENTRY * size ** 2
-    dense = [j * SQUARE_S_PER_CUBE * size ** 3 + uses * ((n >> j) + n % (1 << j)) * matvec
-             for j in range(n.bit_length())]
-    squarings = int(np.argmin(dense))
-    sparse = uses * n * (SPARSE_STEP_S + SPARSE_STEP_S_PER_NNZ * nnz)
-    if FORM_S_PER_NNZ_ROW * nnz * size + dense[squarings] < sparse:
-        return squarings
-    return None
-
-
 def _crossing(gen, h: float, n: int, uses: int) -> list:
     """How each of `uses` intervals of n steps of size h crosses the block `gen`:
-    (dense matrix, products) pairs applied in order, or [] for n sparse steps."""
-    size = gen.shape[0]
-    # matrix_power takes bit_length + popcount - 2 products; forming P_h from the
-    # sparse generator costs less than the 3 dense products the rule still charges
-    if uses * n > (3 + n.bit_length() + n.bit_count() - 2) * size:
-        p_h = _rk4_steps(gen, h, 1, np.eye(size, dtype=complex))
-        return [(np.linalg.matrix_power(p_h, n), 1)]
-    squarings = _dense_squarings(gen.nnz, size, uses, n)
-    if squarings is None:
+    (dense matrix, products) pairs applied in order, or [] for n sparse steps.
+
+    The cost model prices each way and the cheapest wins, dense steps on a
+    tie: dense steps for each J < n.bit_length(), P_h^n (matrix_power takes
+    bit_length + popcount - 2 products) and n sparse steps per interval.
+    """
+    size, nnz = gen.shape[0], gen.nnz
+    form = FORM_S_PER_NNZ_ROW * nnz * size
+    square = SQUARE_S_PER_CUBE * size ** 3
+    matvec = MATVEC_S + MATVEC_S_PER_ENTRY * size ** 2
+    costs = [form + j * square + uses * ((n >> j) + n % (1 << j)) * matvec
+             for j in range(n.bit_length())]
+    costs.append(form + (n.bit_length() + n.bit_count() - 2) * square + uses * matvec)
+    costs.append(uses * n * (SPARSE_STEP_S + SPARSE_STEP_S_PER_NNZ * nnz))
+    choice = int(np.argmin(costs))  # J, then bit_length for P_h^n, then sparse steps
+    if choice > n.bit_length():
         return []
     p_h = _rk4_steps(gen, h, 1, np.eye(size, dtype=complex))
+    if choice == n.bit_length():
+        return [(np.linalg.matrix_power(p_h, n), 1)]
     q = p_h
-    for _ in range(squarings):
+    for _ in range(choice):
         q = q @ q
-    return [(q, n >> squarings), (p_h, n % (1 << squarings))]
+    return [(q, n >> choice), (p_h, n % (1 << choice))]
 
 
 def evolve(
@@ -277,16 +271,15 @@ def evolve(
     `rho0` is the state at the first grid time.  The integration step is
     at most min(0.005 us, 1/(50 x fastest rate)) unless `max_step`
     overrides it; each grid interval is subdivided evenly into n steps of
-    size h so grid points are hit exactly.  The state is split by charge
-    gap k, and each sector that `rho0` occupies is evolved on its own block
-    of size B.  The u intervals sharing (h, n) cross a block in one of three
-    ways.  When they would spend more flops on dense steps (u n B^2) than
-    forming P_h^n is charged ((3 + m) B^3, m the products of the power),
-    P_h^n is formed once per sector and applied once per interval.
-    Otherwise the cost model of ``SPARSE_STEP_S`` and the constants after it,
-    from B, the block's stored entries, u and n, picks the cheaper of dense
-    stepping, with P_h formed once and squared J times to Q = P_h^(2^J), then
-    floor(n / 2^J) products with Q and n mod 2^J with P_h per interval, and
+    size h so grid points are hit exactly.  Intervals share a key when they
+    take the same n and their h / step agree to 12 digits, and all take the
+    first one's h.  The state is split by charge gap k, and each sector that
+    `rho0` occupies is evolved on its own block of size B.  The u intervals
+    of a key cross a block in whichever of three ways the cost model of
+    ``SPARSE_STEP_S`` and the constants after it, from B, the block's stored
+    entries, u and n, charges least: P_h^n formed once and applied once per
+    interval; dense steps, with P_h squared J times to Q = P_h^(2^J), then
+    floor(n / 2^J) products with Q and n mod 2^J with P_h per interval; or
     n Horner-form steps on the sparse block.
     Each sample is written into one (n, d, d) array, and after stepping the
     whole array is checked once (:meth:`DensityMatrix.stack`) and, with a
@@ -312,10 +305,10 @@ def evolve(
     gens = [csr_array(liouvillian(problem, sector)) for sector in sectors]
     parts = [vec[sector] for sector in sectors]
     keys = []
-    step_size = {}  # (round(h, 15), n) -> h of the first interval with that key
+    step_size = {}  # (round(h / step, 12), n) -> h of the first interval with that key
     for span in np.diff(grid):
         n = max(1, int(math.ceil(span / step - 1e-12)))
-        key = (round(span / n, 15), n)
+        key = (round(span / n / step, 12), n)
         step_size.setdefault(key, span / n)
         keys.append(key)
     uses = Counter(keys)

@@ -99,6 +99,23 @@ def crossings(monkeypatch, matrix_power_calls):
                     "dense": len(formed) - len(matrix_power_calls), "sparse": len(sparse)}
 
 
+@pytest.fixture
+def dense_squarings(monkeypatch):
+    """Records J of each key evolve crosses in dense steps, with Q = P_h^(2^J)."""
+    found = []
+    real = stabsim.dynamics._crossing
+
+    def recording(gen, h, n, uses):
+        crossing = real(gen, h, n, uses)
+        if len(crossing) == 2:  # (Q, n >> J) then (P_h, n mod 2^J)
+            found.append(next(j for j in range(n.bit_length())
+                              if (n >> j, n % (1 << j)) == (crossing[0][1], crossing[1][1])))
+        return crossing
+
+    monkeypatch.setattr(stabsim.dynamics, "_crossing", recording)
+    return found
+
+
 def decay_problem(layout, drive):
     """Decay of q1 at unit rate; a nonzero drive `drive` (a + a^dag) on the first and on
     the last subsystem leaves no conserved charge, so the one sector is all d^2 entries."""
@@ -200,11 +217,13 @@ class TestEvolve:
     @pytest.mark.parametrize("layout, drive, grid, max_step, path", [
         # 20 intervals of 200 steps each against B = 2: the interval propagator is formed
         (QUBIT, 0.0, np.linspace(0.0, 40000.0, 21), 10.0, "regrouped"),
-        # one interval of 200 steps on a 30-entry sector: dense steps
-        (SpaceLayout((("q1", 2), ("r1", 8))), 0.0, [0.0, 2000.0], 10.0, "dense"),
+        # one interval of 200 steps on a 30-entry sector: P_h^n costs less than dense steps
+        (SpaceLayout((("q1", 2), ("r1", 8))), 0.0, [0.0, 2000.0], 10.0, "regrouped"),
+        # one interval of 200 steps on a 62-entry sector: dense steps
+        (SpaceLayout((("q1", 2), ("r1", 16))), 0.0, [0.0, 2000.0], 10.0, "dense"),
         # one interval of 30 1000 us steps on all 256 entries: sparse steps
         (SpaceLayout((("q1", 2), ("r1", 8))), 0.1, [0.0, 30000.0], 1000.0, "sparse"),
-    ], ids=["regrouped", "dense", "sparse"])
+    ], ids=["regrouped", "regrouped_one_interval", "dense", "sparse"])
     def test_diverged_state_raises_on_each_path(
             self, matrix_power_calls, crossings, layout, drive, grid, max_step, path):
         # 10 us steps against a unit decay rate grow the excited population 291-fold a
@@ -220,11 +239,11 @@ class TestEvolve:
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
     @pytest.mark.parametrize("layout, drive, grid, max_step, path, counts", [
         # three stable 0.1 us steps in dense steps, then 20 intervals of 200 10 us steps,
-        # regrouped under the 4 keys their rounded spans make
+        # regrouped under one key: their steps agree to 12 digits relative to max_step
         (QUBIT, 0.0, np.concatenate(([0.0, 0.1, 0.2], np.linspace(0.3, 40000.3, 21))), 10.0,
-         "regrouped", (4, 1, 0)),
+         "regrouped", (1, 1, 0)),
         # two stable 0.1 us steps, then one interval of 200 10 us steps, in dense steps
-        (SpaceLayout((("q1", 2), ("r1", 8))), 0.0, [0.0, 0.1, 0.2, 2000.2], 10.0, "dense",
+        (SpaceLayout((("q1", 2), ("r1", 16))), 0.0, [0.0, 0.1, 0.2, 2000.2], 10.0, "dense",
          (0, 2, 0)),
         # two stable 0.1 us steps, then one interval of 30 1000 us steps, in sparse steps
         (SpaceLayout((("q1", 2), ("r1", 8))), 0.1, [0.0, 0.1, 0.2, 30000.2], 1000.0, "sparse",
@@ -312,18 +331,29 @@ class TestEvolvePaths:
         for state, vec in zip(traj.states, per_step_states(problem, ground(layout), grid)):
             assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
 
-    @pytest.mark.parametrize("config, powers, counts", [
-        ({"kind": "time_domain"}, 1, (1, 0, 0)),
-        ({"kind": "time_domain", "grid": {"t_max_us": 0.5, "dt_us": 0.25}}, 0, (0, 1, 0)),
+    # pins the benchmark's key shapes: trace_d2's parity switch, its trace warm-up
+    # (two_intervals_d16) and mixed_d3's trace (two_intervals_d36)
+    @pytest.mark.parametrize("config, powers, counts, squarings", [
+        ({"kind": "time_domain"}, 1, (1, 0, 0), []),
+        ({"kind": "time_domain", "grid": {"t_max_us": 0.5, "dt_us": 0.25}}, 0, (0, 1, 0), [5]),
         ({"kind": "time_domain", "resonator_dim": 3, "grid": {"t_max_us": 0.5, "dt_us": 0.25}},
-         0, (0, 1, 0)),
+         0, (0, 1, 0), [3]),
         ({"kind": "time_domain", "resonator_dim": 4, "grid": {"t_max_us": 0.5, "dt_us": 0.25}},
-         0, (0, 0, 2)),
-    ], ids=["default_d16", "two_intervals_d16", "two_intervals_d36", "two_intervals_d64"])
-    def test_path_choice(self, matrix_power_calls, crossings, config, powers, counts):
+         0, (0, 0, 2), []),
+        # sectors of 1, 28 and 70 entries, 100 to 125 intervals of 96 or 142 steps each
+        ({"kind": "parity_switch", "fit_window_us": 8.0,
+          "segments": [{"parity": "odd", "duration_us": 10.0},
+                       {"parity": "even", "duration_us": 10.0},
+                       {"parity": "odd", "duration_us": 12.5},
+                       {"parity": "even", "duration_us": 10.0}]}, 14, (14, 0, 0), []),
+    ], ids=["default_d16", "two_intervals_d16", "two_intervals_d36", "two_intervals_d64",
+            "parity_switch_d16"])
+    def test_path_choice(self, matrix_power_calls, crossings, dense_squarings, config, powers,
+                         counts, squarings):
         run_scenario(config)
         assert len(matrix_power_calls) == powers
         assert crossings() == dict(zip(("regrouped", "dense", "sparse"), counts))
+        assert dense_squarings == squarings
 
     @pytest.mark.parametrize("grid, regrouped, counts", [
         (np.linspace(0.0, 5.0, 21), 9, (9, 0, 0)),  # 20 intervals of 238 steps: every sector
