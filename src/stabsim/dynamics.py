@@ -19,9 +19,11 @@ P_h^n; by dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and
 n mod 2^J with P_h; or by n Horner-form steps of four sparse products with
 the generator.  One cost model, fitted to measured timings, prices all
 three and picks the cheapest.  A steady state solves the k = 0 block with
-its first row replaced by the trace functional, through one sparse LU
-factorization; the same factor gives the conditioning estimate that
-rejects a kernel that is not one-dimensional.
+its first row replaced by the trace functional, through one LU
+factorization: a dense real one in Hermitian coordinates for blocks of up
+to ``DENSE_STEADY_ROWS`` rows, a sparse complex one above; the same factor
+gives the conditioning estimate that rejects a kernel that is not
+one-dimensional.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import curve_fit
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
@@ -51,6 +54,12 @@ TRAJECTORY_EIG_TOL = 1e-6
 KERNEL_TOL = 1e-8
 # power steps taken at each end of that estimate
 CONDITION_STEPS = 4
+# k = 0 blocks of up to this many rows are solved by a dense real LU (LAPACK
+# dgetrf), larger ones by a sparse complex LU (SuperLU).  Per whole
+# steady_state call (one BLAS thread, 2-core x86-64) the dense path took 0.53x
+# the sparse one's time at B = 70, 0.67x at 256, 0.92x at 404, 1.12x at 548
+# and 1.17x at 646.
+DENSE_STEADY_ROWS = 500
 
 # Cost model that picks how an interval key is crossed, in
 # seconds.  Fitted to best-of-5 and best-of-7 timings on a 2-core x86-64
@@ -130,8 +139,8 @@ def charge_gaps(problem: LindbladProblem) -> np.ndarray:
 def liouvillian(problem: LindbladProblem, sector: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense H_eff-form generator acting on row-major vectorized density matrices.
 
-    With `sector`, an ascending array of row-major indices i d + j, only the
-    block of those rows and columns is scattered and returned.
+    With `sector`, an array of distinct row-major indices i d + j, only the
+    block of those rows and columns is scattered and returned, in that order.
     """
     h_eff = problem.hamiltonian.entries.astype(complex)
     for op in problem.collapse_ops:
@@ -198,11 +207,11 @@ class Trajectory:
         return self.states[-1]
 
 
-def _qubit_metrics(states: tuple, target: StabilizationTarget) -> np.ndarray:
-    """(n, 3) fidelity, purity and parity of each state's two-qubit reduction."""
-    reduced = [r.entries for r in partial_trace(states, {"q1", "q2"})]
-    return np.array([(state_fidelity(arr, target), purity(arr), parity_signature(arr))
-                     for arr in reduced], dtype=float)
+def _qubit_metrics(states: tuple, target: StabilizationTarget) -> tuple:
+    """(n,) fidelity, purity and parity of each state's two-qubit reduction,
+    each computed once on the (n, 4, 4) stack of reductions."""
+    reduced = np.stack([r.entries for r in partial_trace(states, {"q1", "q2"})])
+    return state_fidelity(reduced, target), purity(reduced), parity_signature(reduced)
 
 
 def _check_grid(grid: np.ndarray):
@@ -333,20 +342,24 @@ def evolve(
             f"state at t = {grid[exc.index]:.6g} us left physical bounds: {exc}") from exc
     if target is None:
         return Trajectory(grid, states)
-    return Trajectory(grid, states, *_qubit_metrics(states, target).T)
+    return Trajectory(grid, states, *_qubit_metrics(states, target))
 
 
-def _inverse_condition(mat, lu) -> float:
+def _inverse_condition(mat, solve) -> float:
     """Estimate of sigma_min/sigma_max of `mat` in the 2-norm.
 
     ``CONDITION_STEPS`` power steps on mat^H mat give sigma_max, and as many
-    on its inverse, through the LU factor `lu`, give 1/sigma_min.  Both
-    converge from below, so the estimate is never below the exact ratio.
-    The start vector is fixed, so the estimate is deterministic.
+    on its inverse give 1/sigma_min, through `solve`: solve(v) returns
+    mat^-1 v and solve(v, "H") returns mat^-H v, as a factor's solve does.
+    Both converge from below, so the estimate is never below the exact
+    ratio.  The start vector is fixed, and real for a real `mat`, so the
+    estimate is deterministic.
     """
     rng = np.random.default_rng(0)
     n = mat.shape[0]
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start = rng.standard_normal(n)
+    if np.iscomplexobj(mat):
+        start = start + 1j * rng.standard_normal(n)
     start /= np.linalg.norm(start)
     adjoint = mat.conj().T
     v = start
@@ -357,25 +370,124 @@ def _inverse_condition(mat, lu) -> float:
         v /= np.linalg.norm(v)
     v = start
     for _ in range(CONDITION_STEPS):
-        u = lu.solve(v)
+        u = solve(v)
         inv_sigma_min = np.linalg.norm(u)
-        v = lu.solve(u, trans="H")
+        v = solve(u, "H")
         v /= np.linalg.norm(v)
     return float(1.0 / (inv_sigma_min * sigma_max))
 
 
+def _kernel_vector(bordered, solve) -> np.ndarray:
+    """Solution of the trace-bordered block for unit trace, through `solve` as
+    in :func:`_inverse_condition`, once that estimate is at least
+    ``KERNEL_TOL``; below it the kernel is not one-dimensional."""
+    ratio = _inverse_condition(bordered, solve)
+    if not ratio >= KERNEL_TOL:
+        raise DegenerateSteadyStateError(
+            f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})"
+        )
+    rhs = np.zeros(bordered.shape[0], dtype=bordered.dtype)
+    rhs[0] = 1.0
+    return solve(rhs)
+
+
+def _real_bordered(problem: LindbladProblem, in_sector: np.ndarray) -> tuple:
+    """The trace-bordered k = 0 block in real Hermitian coordinates, and the
+    row-major indices of the sector's entries rho_ij (i < j) and rho_ji.
+
+    `in_sector` is the d x d mask of the sector.  The coordinates are
+    x_i = rho_ii, then a_ij = sqrt2 Re rho_ij, then b_ij = sqrt2 Im rho_ij
+    for the sector's i < j: an orthonormal basis of its Hermitian matrices,
+    so with U the unitary from (x, a, b) to (rho_ii, rho_ij, rho_ji) the
+    block U^H L U has the singular values of L.  L maps Hermitian matrices
+    to Hermitian matrices, so U^H L U is real, and row ji of L U is the
+    conjugate of row ij: row x_i of U^H L U is row ii of L U, and the rows
+    of a_ij and b_ij are sqrt2 Re and sqrt2 Im of row ij.  L is scattered
+    once with its rows and columns in the order (ii, ij, ji), so every part
+    of U^H L U is a contiguous slice of its rows ii and ij.  Row x_0 is then
+    replaced by the trace functional.
+    """
+    d = len(in_sector)
+    i, j = np.nonzero(np.triu(in_sector, 1))
+    upper, lower = i * d + j, j * d + i
+    m = d + len(upper)
+    gen = liouvillian(problem, np.concatenate([np.arange(0, d * d, d + 1), upper, lower]))
+    top = gen[:m]  # rows ii and ij
+    plus = top[:, d:m] + top[:, m:]  # sqrt2 times the a columns of L U
+    minus = top[:, d:m] - top[:, m:]  # -i sqrt2 times the b columns of L U
+    block = np.empty(gen.shape)
+    block[:m, :d] = top[:, :d].real
+    block[m:, :d] = top[d:, :d].imag
+    block[:m, d:m] = plus.real
+    block[m:, d:m] = plus[d:].imag
+    block[:m, m:] = -minus.imag
+    block[m:, m:] = minus[d:].real
+    block[d:, :d] *= math.sqrt(2.0)
+    block[:d, d:] /= math.sqrt(2.0)
+    block[0] = 0.0
+    block[0, :d] = 1.0
+    return block, upper, lower
+
+
+def _real_steady(problem: LindbladProblem, in_sector: np.ndarray) -> np.ndarray:
+    """rho from a dense LAPACK LU of :func:`_real_bordered`'s block, Hermitian
+    by construction and normalized to unit trace."""
+    bordered, upper, lower = _real_bordered(problem, in_sector)
+    lu, piv, info = dgetrf(bordered)
+    if info > 0:
+        raise DegenerateSteadyStateError(
+            f"generator kernel is degenerate (pivot {info} of the dense LU is exactly zero)")
+
+    def solve(rhs, trans="N"):
+        return dgetrs(lu, piv, rhs, trans=int(trans == "H"))[0]
+
+    d, m = len(in_sector), len(in_sector) + len(upper)
+    x = _kernel_vector(bordered, solve)
+    x /= x[:d].sum()
+    off = (x[d:m] + 1j * x[m:]) / math.sqrt(2.0)
+    rho = np.zeros((d, d), dtype=complex)
+    rho.flat[::d + 1] = x[:d]
+    rho.flat[upper] = off
+    rho.flat[lower] = off.conj()
+    return rho
+
+
+def _complex_steady(problem: LindbladProblem, sector: np.ndarray) -> np.ndarray:
+    """rho from a sparse complex LU (SuperLU) of the trace-bordered k = 0 block
+    on `sector`, its ascending row-major indices, Hermitized and normalized to
+    unit trace."""
+    d = problem.layout.total_dim
+    block = liouvillian(problem, sector)
+    block[0] = 0.0  # sector[0] is the rho_00 entry, and every rho_ii lies in k = 0
+    block[0, np.searchsorted(sector, np.arange(0, d * d, d + 1))] = 1.0
+    bordered = csc_array(block)
+    try:
+        lu = splu(bordered)
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
+    rho = np.zeros(d * d, dtype=complex)
+    rho[sector] = _kernel_vector(bordered, lu.solve)
+    rho = rho.reshape(d, d)
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / float(np.real(np.trace(rho)))
+
+
 def steady_state(problem: LindbladProblem) -> DensityMatrix:
-    """Steady state from one sparse LU solve of the trace-bordered k = 0 block.
+    """Steady state from one LU solve of the trace-bordered k = 0 block.
 
     Every diagonal entry rho_ii has charge gap k = 0, and the generator maps
     each sector of :func:`charge_gaps` into itself, so the state is solved
     on the k = 0 block alone.  Its row for rho_00 (which the others imply,
     because the generator preserves the trace) is replaced by the trace
-    functional, and the block is solved for unit trace.  The solution is
-    reshaped, Hermitized and normalized to unit trace.  An exactly singular
-    factor, or an estimated sigma_min/sigma_max of the bordered block below
-    ``KERNEL_TOL``, signals a kernel that is not one-dimensional and raises
-    :class:`DegenerateSteadyStateError`.
+    functional, and the block is solved for unit trace.  A block of up to
+    ``DENSE_STEADY_ROWS`` rows is written in real Hermitian coordinates and
+    solved by a dense LAPACK LU (:func:`_real_bordered`), which gives a
+    state Hermitian by construction.  A larger one is solved in complex
+    entries by a sparse LU, and its solution is Hermitized.  The coordinates
+    are orthonormal, so both blocks have the same singular values.  An
+    exactly singular factor, or an estimated sigma_min/sigma_max of the
+    bordered block below ``KERNEL_TOL``, signals a kernel that is not
+    one-dimensional and raises :class:`DegenerateSteadyStateError`.
 
     The k = 0 block alone decides uniqueness: a steady X != 0 with k != 0
     forces a second steady state with k = 0.  Suppose the k = 0 kernel is
@@ -398,27 +510,11 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
     identity it gives a two-dimensional k = 0 kernel, a contradiction.
     """
     d = problem.layout.total_dim
-    sector = np.flatnonzero(charge_gaps(problem) == 0)
-    block = liouvillian(problem, sector)
-    block[0] = 0.0  # sector[0] is the rho_00 entry, and every rho_ii lies in k = 0
-    block[0, np.searchsorted(sector, np.arange(0, d * d, d + 1))] = 1.0
-    bordered = csc_array(block)
-    try:
-        lu = splu(bordered)
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
-    ratio = _inverse_condition(bordered, lu)
-    if not ratio >= KERNEL_TOL:
-        raise DegenerateSteadyStateError(
-            f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})"
-        )
-    rhs = np.zeros(len(sector), dtype=complex)
-    rhs[0] = 1.0
-    rho = np.zeros(d * d, dtype=complex)
-    rho[sector] = lu.solve(rhs)
-    rho = rho.reshape(d, d)
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / float(np.real(np.trace(rho)))
+    in_sector = charge_gaps(problem) == 0
+    if np.count_nonzero(in_sector) <= DENSE_STEADY_ROWS:
+        rho = _real_steady(problem, in_sector.reshape(d, d))
+    else:
+        rho = _complex_steady(problem, np.flatnonzero(in_sector))
     return DensityMatrix(problem.layout, rho, trace_tol=1e-9, eig_tol=1e-7)
 
 

@@ -347,12 +347,10 @@ def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) 
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, schedule.total_duration + 1e-9 * dt, dt)
     traj = evolve_schedule(schedule, grid)
-    psi_m, phi_m = bell_psi_minus(), bell_phi_minus()
-    rows = []
-    for t, reduced in zip(traj.times, partial_trace(traj.states, {"q1", "q2"})):
-        rq = reduced.entries
-        rows.append((float(t), parity_signature(rq), fidelity(rq, psi_m), fidelity(rq, phi_m)))
-    return rows
+    reduced = np.stack([r.entries for r in partial_trace(traj.states, {"q1", "q2"})])
+    columns = (traj.times, parity_signature(reduced), fidelity(reduced, bell_psi_minus()),
+               fidelity(reduced, bell_phi_minus()))
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _fit_switches(cfg: dict, named: dict) -> dict:

@@ -202,25 +202,34 @@ def _as_two_qubit_array(rho) -> np.ndarray:
         arr = rho.entries
     else:
         arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit state, got shape {arr.shape}")
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"expected a 4x4 two-qubit state or an (n, 4, 4) stack, got shape {arr.shape}")
     return arr
 
 
-def fidelity(rho, target: StabilizationTarget) -> float:
-    """<psi| rho |psi> for a pure target against a two-qubit state."""
+def _values(x):
+    """A float for one state, an (n,) array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def fidelity(rho, target: StabilizationTarget):
+    """<psi| rho |psi> for a pure target against a two-qubit state, or an
+    (n,) array of them for an (n, 4, 4) stack."""
     arr = _as_two_qubit_array(rho)
     psi = target.amplitudes
-    return float(np.real(psi.conj() @ arr @ psi))
+    return _values(np.real(psi.conj() @ arr @ psi))
 
 
-def purity(rho) -> float:
-    """Tr(rho^2), between 1/4 (maximally mixed) and 1 (pure)."""
+def purity(rho):
+    """Tr(rho^2), between 1/4 (maximally mixed) and 1 (pure); an (n,) array
+    for an (n, 4, 4) stack."""
     arr = _as_two_qubit_array(rho)
-    return float(np.real(np.trace(arr @ arr)))
+    return _values(np.real(np.trace(arr @ arr, axis1=-2, axis2=-1)))
 
 
-def parity_signature(rho) -> float:
-    """2 (|<ee|rho|gg>| - |<ge|rho|eg>|); +1 for (gg-ee)/sqrt2, -1 for (ge-eg)/sqrt2."""
+def parity_signature(rho):
+    """2 (|<ee|rho|gg>| - |<ge|rho|eg>|); +1 for (gg-ee)/sqrt2, -1 for (ge-eg)/sqrt2.
+    An (n,) array for an (n, 4, 4) stack."""
     arr = _as_two_qubit_array(rho)
-    return float(2.0 * (abs(arr[3, 0]) - abs(arr[1, 2])))
+    return _values(2.0 * (np.abs(arr[..., 3, 0]) - np.abs(arr[..., 1, 2])))

@@ -22,6 +22,7 @@ from stabsim.builders import (
 )
 from stabsim.dynamics import (
     _inverse_condition,
+    _real_bordered,
     DegenerateSteadyStateError,
     DriveSchedule,
     FitError,
@@ -590,14 +591,34 @@ def _random_problems(count=20):
         yield build_lindblad(h, NoiseSpec(kappa1, kappa2, *times))
 
 
+def complex_bordered(problem):
+    """The trace-bordered k = 0 block in complex entries, in ascending row-major order."""
+    d = problem.layout.total_dim
+    sector = np.flatnonzero(charge_gaps(problem) == 0)
+    bordered = liouvillian(problem, sector)
+    bordered[0] = 0.0
+    bordered[0, np.searchsorted(sector, np.arange(0, d * d, d + 1))] = 1.0
+    return bordered
+
+
+def real_bordered(problem):
+    d = problem.layout.total_dim
+    return _real_bordered(problem, (charge_gaps(problem) == 0).reshape(d, d))[0]
+
+
+def null_space_state(problem):
+    """The generator's kernel, asserted one-dimensional, as a unit-trace state."""
+    kernel = scipy.linalg.null_space(liouvillian(problem))
+    assert kernel.shape[1] == 1
+    d = problem.layout.total_dim
+    rho = kernel[:, 0].reshape(d, d)
+    return rho / np.trace(rho)
+
+
 class TestSteadyStateReference:
     @pytest.mark.parametrize("problem", list(_random_problems()))
     def test_matches_null_space(self, problem):
-        kernel = scipy.linalg.null_space(liouvillian(problem))
-        assert kernel.shape[1] == 1
-        expected = kernel[:, 0].reshape(16, 16)
-        expected = expected / np.trace(expected)
-        assert np.max(np.abs(steady_state(problem).entries - expected)) < 1e-12
+        assert np.max(np.abs(steady_state(problem).entries - null_space_state(problem))) < 1e-12
 
     @pytest.mark.parametrize("problem", list(_random_problems()))
     def test_condition_estimate_within_factor_two(self, problem):
@@ -607,19 +628,16 @@ class TestSteadyStateReference:
         s = np.linalg.svd(bordered, compute_uv=False)
         exact = s[-1] / s[0]
         sparse = csc_array(bordered)
-        estimate = _inverse_condition(sparse, splu(sparse))
+        estimate = _inverse_condition(sparse, splu(sparse).solve)
         assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
     @pytest.mark.parametrize("problem", list(_random_problems()))
     def test_sector_condition_estimate_within_factor_two(self, problem):
-        sector = np.flatnonzero(charge_gaps(problem) == 0)
-        bordered = liouvillian(problem, sector)
-        bordered[0] = 0.0
-        bordered[0, np.searchsorted(sector, np.arange(0, 256, 17))] = 1.0
+        bordered = complex_bordered(problem)
         s = np.linalg.svd(bordered, compute_uv=False)
         exact = s[-1] / s[0]
         sparse = csc_array(bordered)
-        estimate = _inverse_condition(sparse, splu(sparse))
+        estimate = _inverse_condition(sparse, splu(sparse).solve)
         assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
     @pytest.mark.parametrize("problem", list(_random_problems()))
@@ -632,6 +650,125 @@ class TestSteadyStateReference:
             sector = np.flatnonzero(inside)
             assert np.array_equal(liouvillian(problem, sector), full[np.ix_(sector, sector)])
             assert not full[np.ix_(inside, ~inside)].any()
+
+
+@pytest.fixture
+def steady_factors(monkeypatch):
+    """Counts the factorizations steady_state makes: "dense" real LUs (dgetrf) and
+    "sparse" complex LUs (splu)."""
+    counts = {"dense": 0, "sparse": 0}
+    for path, name in (("dense", "dgetrf"), ("sparse", "splu")):
+        def counting(*args, _real=getattr(stabsim.dynamics, name), _path=path, **kwargs):
+            counts[_path] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stabsim.dynamics, name, counting)
+    return counts
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def steady_path(request, monkeypatch, steady_factors):
+    """Sends every k = 0 block down one path by moving the cut; checks at teardown
+    that only that path's factorization ran."""
+    cut = 10 ** 9 if request.param == "dense" else 0
+    monkeypatch.setattr(stabsim.dynamics, "DENSE_STEADY_ROWS", cut)
+    yield request.param
+    assert steady_factors[request.param] > 0
+    assert steady_factors["sparse" if request.param == "dense" else "dense"] == 0
+
+
+# four d = 16 Rabi-driven points, which conserve no charge: B = 256
+RABI_POINTS = {"kind": "rabi_dressed_map",
+               "grid": {"delta_over_omega": [0.0, 0.3], "a1_over_omega": [0.2, 0.5]}}
+
+
+class TestSteadyPaths:
+    """The dense real and the sparse complex k = 0 solves, each forced by moving the cut."""
+
+    @pytest.mark.parametrize("problem", list(_random_problems(8)))
+    def test_both_paths_match_null_space(self, steady_path, problem):
+        rho = steady_state(problem).entries
+        assert np.max(np.abs(rho - null_space_state(problem))) < 1e-12
+
+    def test_rabi_points_match_null_space(self, solved_problems, steady_path):
+        run_scenario(RABI_POINTS)
+        assert len(solved_problems) == 4
+        for problem in solved_problems:
+            assert np.count_nonzero(charge_gaps(problem) == 0) == 256
+            rho = steady_state(problem).entries
+            assert np.max(np.abs(rho - null_space_state(problem))) < 1e-12
+
+    @pytest.mark.parametrize("builder", [build_even_parity_system, build_odd_parity_system],
+                             ids=["even", "odd"])
+    def test_d36_bell_point_dense_matches_sparse(self, monkeypatch, steady_factors, builder):
+        problem = build_lindblad(
+            builder(TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, LAYOUT_D36), DEVICE_NOISE)
+        assert np.count_nonzero(charge_gaps(problem) == 0) == 262
+        dense = steady_state(problem).entries
+        monkeypatch.setattr(stabsim.dynamics, "DENSE_STEADY_ROWS", 0)
+        sparse = steady_state(problem).entries
+        assert steady_factors == {"dense": 1, "sparse": 1}
+        assert np.max(np.abs(dense - sparse)) < 1e-12
+
+    def test_dense_state_is_hermitian_by_construction(self, solved_problems, steady_factors):
+        run_scenario(RABI_POINTS)
+        problems = list(_random_problems(8)) + solved_problems + [even_problem(LAYOUT_D36)]
+        for problem in problems:
+            rho = steady_state(problem).entries
+            assert np.array_equal(rho, rho.conj().T)
+        assert steady_factors["sparse"] == 0
+
+    # the benchmark's block sizes: d = 16 Bell and Rabi points, a d = 36 Bell point, the
+    # d = 64 Bell point of CI's tphi_sweep and a d = 36 Rabi point (mixed_d3's seed 1)
+    @pytest.mark.parametrize("config, size, path", [
+        ({"kind": "tphi_sweep", "families": ["psi"], "grid": {"tphi_us": [20.0]}}, 70, "dense"),
+        ({"kind": "rabi_dressed_map", "grid": {"delta_over_omega": [0.3], "a1_over_omega": [0.5]}},
+         256, "dense"),
+        ({"kind": "tphi_sweep", "resonator_dim": 3, "families": ["psi"],
+          "grid": {"tphi_us": [20.0]}}, 262, "dense"),
+        ({"kind": "tphi_sweep", "resonator_dim": 4, "families": ["psi"],
+          "grid": {"tphi_us": [30.0]}}, 646, "sparse"),
+        ({"kind": "rabi_dressed_map", "resonator_dim": 3,
+          "grid": {"delta_over_omega": [0.3], "a1_over_omega": [0.5]}}, 1296, "sparse"),
+    ], ids=["bell_d16", "rabi_d16", "bell_d36", "bell_d64", "rabi_d36"])
+    def test_path_choice(self, solved_problems, steady_factors, config, size, path):
+        run_scenario(config)
+        assert [np.count_nonzero(charge_gaps(p) == 0) for p in solved_problems] == [size]
+        assert steady_factors == {"dense": int(path == "dense"), "sparse": int(path == "sparse")}
+
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_real_block_has_the_complex_singular_values(self, problem):
+        real = np.linalg.svd(real_bordered(problem), compute_uv=False)
+        complex_ = np.linalg.svd(complex_bordered(problem), compute_uv=False)
+        assert np.max(np.abs(real - complex_) / complex_) <= 1e-12
+
+    @pytest.mark.parametrize("problem", list(_random_problems()))
+    def test_real_condition_estimate_within_factor_two(self, problem):
+        bordered = real_bordered(problem)
+        s = np.linalg.svd(bordered, compute_uv=False)
+        exact = s[-1] / s[0]
+        factor = scipy.linalg.lu_factor(bordered)
+
+        def solve(v, trans="N"):
+            return scipy.linalg.lu_solve(factor, v, trans=int(trans == "H"))
+
+        estimate = _inverse_condition(bordered, solve)
+        assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
+
+    @pytest.mark.parametrize("drive, cause", [(0.0, "exactly zero"), (1e-5, "estimated")],
+                             ids=["singular_factor", "low_estimate"])
+    def test_degenerate_dense_block_raises_without_warnings(self, steady_factors, drive, cause):
+        # H = 0 leaves the populations of a dephasing qubit free, a zero pivot of the
+        # 2-row block; a 1e-5 drive leaves s[-2]/s[0] = 1e-10 on the 4-row block
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        problem = LindbladProblem(ComplexOperator(QUBIT, drive * sx),
+                                  (ComplexOperator(QUBIT, sz),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSteadyStateError, match=cause):
+                steady_state(problem)
+        assert steady_factors == {"dense": 1, "sparse": 0}
 
 
 class TestGeneratorResidual:

@@ -230,3 +230,30 @@ class TestMetrics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(3) / 3.0, bell_psi_minus())
+
+    def test_stack_gives_each_state_its_single_value(self):
+        # the per-state formulas the stacked metrics replace are the reference
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+        stack = m @ m.conj().swapaxes(1, 2)
+        stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+        target = psi_theta(1.1)
+        amps = target.amplitudes
+        cases = [
+            (lambda r: fidelity(r, target), lambda a: np.real(amps.conj() @ a @ amps)),
+            (purity, lambda a: np.real(np.trace(a @ a))),
+            (parity_signature, lambda a: 2.0 * (abs(a[3, 0]) - abs(a[1, 2]))),
+        ]
+        for metric, per_state in cases:
+            values = metric(stack)
+            assert isinstance(values, np.ndarray) and values.shape == (7,)
+            assert np.allclose(values, [per_state(a) for a in stack], rtol=0, atol=1e-15)
+            singles = [metric(a) for a in stack]
+            assert all(type(v) is float for v in singles)
+            assert np.allclose(singles, values, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 4), (3, 4, 5), (4,)])
+    def test_stack_of_the_wrong_shape_rejected(self, shape):
+        for metric in (lambda r: fidelity(r, bell_psi_minus()), purity, parity_signature):
+            with pytest.raises(ValueError):
+                metric(np.zeros(shape, dtype=complex))
