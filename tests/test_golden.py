@@ -1,18 +1,27 @@
-"""Golden outputs: one small config per scenario kind at resonator_dim 2.
+"""Golden outputs: one small config per scenario kind at resonator_dim 2,
+plus two steady points whose k = 0 blocks are large enough for the sparse
+steady-state path (a Rabi-driven point at resonator_dim 3, B = 1296, and a
+Bell point at resonator_dim 4, B = 646).
 
 Each file under ``tests/golden/`` holds the rows, the analytic-comparison
 rows (for kinds that have one) and the summary of one small run. Numeric
 cells must agree within 1e-10 and strings exactly, so a refactor of the
-scenario runner or the Hamiltonian builders cannot move a number unseen.
+scenario runner, the Hamiltonian builders or the solvers cannot move a
+number unseen.
 
-Regenerate (only when a change to the numbers is intended):
+Regenerate (only when a change to the numbers is intended) the named
+cases, or every case when no name is given:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+Name only the cases whose numbers are meant to move, so that adding or
+re-recording one case leaves the other files untouched.
 """
 
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -39,6 +48,10 @@ GOLDEN_CONFIGS = {
     "rabi_dressed_map": {"kind": "rabi_dressed_map",
                          "grid": {"delta_over_omega": [0.0, 0.5],
                                   "a1_over_omega": [0.25, 1.0]}},
+    "rabi_dressed_map_d36": {"kind": "rabi_dressed_map", "resonator_dim": 3,
+                             "grid": {"delta_over_omega": [0.3], "a1_over_omega": [0.5]}},
+    "tphi_sweep_d64": {"kind": "tphi_sweep", "resonator_dim": 4, "families": ["psi"],
+                       "grid": {"tphi_us": [20.0]}},
     "rate_model_compare": {"kind": "rate_model_compare", "family": "phi",
                            "grid": {"start_deg": 30.0, "stop_deg": 150.0, "step_deg": 60.0}},
 }
@@ -78,20 +91,24 @@ def _assert_close(actual, expected, path: str):
             f"{path}: {actual!r} != {expected!r}"
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_CONFIGS))
-def test_golden_output(kind):
-    with open(os.path.join(GOLDEN_DIR, f"{kind}.json"), encoding="utf-8") as fh:
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_output(name):
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
         expected = json.load(fh)
-    assert expected["config"] == GOLDEN_CONFIGS[kind]
+    assert expected["config"] == GOLDEN_CONFIGS[name]
     # a JSON round trip gives the same tuple -> list, numpy -> float shapes
-    actual = json.loads(json.dumps(_record(GOLDEN_CONFIGS[kind])))
-    _assert_close(actual, expected, kind)
+    actual = json.loads(json.dumps(_record(GOLDEN_CONFIGS[name])))
+    _assert_close(actual, expected, name)
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(GOLDEN_CONFIGS)
+    unknown = sorted(set(names) - set(GOLDEN_CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden case(s) {unknown}; known: {sorted(GOLDEN_CONFIGS)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, cfg in GOLDEN_CONFIGS.items():
+    for name in names:
         with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(_record(cfg), fh, indent=1, sort_keys=True)
+            json.dump(_record(GOLDEN_CONFIGS[name]), fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {name}.json")
