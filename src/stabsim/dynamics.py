@@ -20,10 +20,11 @@ n mod 2^J with P_h; or by n Horner-form steps of four sparse products with
 the generator.  One cost model, fitted to measured timings, prices all
 three and picks the cheapest.  A steady state solves the k = 0 block with
 its first row replaced by the trace functional, through one LU
-factorization: a dense real one in Hermitian coordinates for blocks of up
-to ``DENSE_STEADY_ROWS`` rows, a sparse complex one above; the same factor
-gives the conditioning estimate that rejects a kernel that is not
-one-dimensional.
+factorization, the only size-dependent step: a dense real one in Hermitian
+coordinates for blocks of up to ``DENSE_STEADY_ROWS`` rows, a sparse
+complex one above.  The same factor gives the conditioning estimate that
+rejects a kernel that is not one-dimensional; the state is Hermitian by
+construction.
 """
 
 from __future__ import annotations
@@ -377,99 +378,36 @@ def _inverse_condition(mat, solve) -> float:
     return float(1.0 / (inv_sigma_min * sigma_max))
 
 
-def _kernel_vector(bordered, solve) -> np.ndarray:
-    """Solution of the trace-bordered block for unit trace, through `solve` as
-    in :func:`_inverse_condition`, once that estimate is at least
-    ``KERNEL_TOL``; below it the kernel is not one-dimensional."""
-    ratio = _inverse_condition(bordered, solve)
-    if not ratio >= KERNEL_TOL:
-        raise DegenerateSteadyStateError(
-            f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})"
-        )
-    rhs = np.zeros(bordered.shape[0], dtype=bordered.dtype)
-    rhs[0] = 1.0
-    return solve(rhs)
+def _real_block(block: np.ndarray, d: int) -> np.ndarray:
+    """U^H L U of the k = 0 block L, in real Hermitian coordinates.
 
-
-def _real_bordered(problem: LindbladProblem, in_sector: np.ndarray) -> tuple:
-    """The trace-bordered k = 0 block in real Hermitian coordinates, and the
-    row-major indices of the sector's entries rho_ij (i < j) and rho_ji.
-
-    `in_sector` is the d x d mask of the sector.  The coordinates are
-    x_i = rho_ii, then a_ij = sqrt2 Re rho_ij, then b_ij = sqrt2 Im rho_ij
-    for the sector's i < j: an orthonormal basis of its Hermitian matrices,
-    so with U the unitary from (x, a, b) to (rho_ii, rho_ij, rho_ji) the
-    block U^H L U has the singular values of L.  L maps Hermitian matrices
-    to Hermitian matrices, so U^H L U is real, and row ji of L U is the
-    conjugate of row ij: row x_i of U^H L U is row ii of L U, and the rows
-    of a_ij and b_ij are sqrt2 Re and sqrt2 Im of row ij.  L is scattered
-    once with its rows and columns in the order (ii, ij, ji), so every part
-    of U^H L U is a contiguous slice of its rows ii and ij.  Row x_0 is then
-    replaced by the trace functional.
+    L's rows and columns are in the order (ii, ij, ji): the sector's `d`
+    entries rho_ii, then its entries rho_ij (i < j), then the rho_ji of the
+    same pairs.  The coordinates are x_i = rho_ii, then a_ij = sqrt2 Re
+    rho_ij, then b_ij = sqrt2 Im rho_ij: an orthonormal basis of the
+    sector's Hermitian matrices, so with U the unitary from (x, a, b) to
+    (rho_ii, rho_ij, rho_ji) the block U^H L U has the singular values of L.
+    L maps Hermitian matrices to Hermitian matrices, so U^H L U is real, and
+    row ji of L U is the conjugate of row ij: row x_i of U^H L U is row ii
+    of L U, and the rows of a_ij and b_ij are sqrt2 Re and sqrt2 Im of row
+    ij.  Every part of U^H L U is thus a contiguous slice of L's rows ii and
+    ij.  A row ii replaced by a functional of the rho_ii, such as the trace,
+    stays that functional of the x_i.
     """
-    d = len(in_sector)
-    i, j = np.nonzero(np.triu(in_sector, 1))
-    upper, lower = i * d + j, j * d + i
-    m = d + len(upper)
-    gen = liouvillian(problem, np.concatenate([np.arange(0, d * d, d + 1), upper, lower]))
-    top = gen[:m]  # rows ii and ij
+    m = (len(block) + d) // 2
+    top = block[:m]  # rows ii and ij
     plus = top[:, d:m] + top[:, m:]  # sqrt2 times the a columns of L U
     minus = top[:, d:m] - top[:, m:]  # -i sqrt2 times the b columns of L U
-    block = np.empty(gen.shape)
-    block[:m, :d] = top[:, :d].real
-    block[m:, :d] = top[d:, :d].imag
-    block[:m, d:m] = plus.real
-    block[m:, d:m] = plus[d:].imag
-    block[:m, m:] = -minus.imag
-    block[m:, m:] = minus[d:].real
-    block[d:, :d] *= math.sqrt(2.0)
-    block[:d, d:] /= math.sqrt(2.0)
-    block[0] = 0.0
-    block[0, :d] = 1.0
-    return block, upper, lower
-
-
-def _real_steady(problem: LindbladProblem, in_sector: np.ndarray) -> np.ndarray:
-    """rho from a dense LAPACK LU of :func:`_real_bordered`'s block, Hermitian
-    by construction and normalized to unit trace."""
-    bordered, upper, lower = _real_bordered(problem, in_sector)
-    lu, piv, info = dgetrf(bordered)
-    if info > 0:
-        raise DegenerateSteadyStateError(
-            f"generator kernel is degenerate (pivot {info} of the dense LU is exactly zero)")
-
-    def solve(rhs, trans="N"):
-        return dgetrs(lu, piv, rhs, trans=int(trans == "H"))[0]
-
-    d, m = len(in_sector), len(in_sector) + len(upper)
-    x = _kernel_vector(bordered, solve)
-    x /= x[:d].sum()
-    off = (x[d:m] + 1j * x[m:]) / math.sqrt(2.0)
-    rho = np.zeros((d, d), dtype=complex)
-    rho.flat[::d + 1] = x[:d]
-    rho.flat[upper] = off
-    rho.flat[lower] = off.conj()
-    return rho
-
-
-def _complex_steady(problem: LindbladProblem, sector: np.ndarray) -> np.ndarray:
-    """rho from a sparse complex LU (SuperLU) of the trace-bordered k = 0 block
-    on `sector`, its ascending row-major indices, Hermitized and normalized to
-    unit trace."""
-    d = problem.layout.total_dim
-    block = liouvillian(problem, sector)
-    block[0] = 0.0  # sector[0] is the rho_00 entry, and every rho_ii lies in k = 0
-    block[0, np.searchsorted(sector, np.arange(0, d * d, d + 1))] = 1.0
-    bordered = csc_array(block)
-    try:
-        lu = splu(bordered)
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
-    rho = np.zeros(d * d, dtype=complex)
-    rho[sector] = _kernel_vector(bordered, lu.solve)
-    rho = rho.reshape(d, d)
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / float(np.real(np.trace(rho)))
+    real = np.empty(block.shape)
+    real[:m, :d] = top[:, :d].real
+    real[m:, :d] = top[d:, :d].imag
+    real[:m, d:m] = plus.real
+    real[m:, d:m] = plus[d:].imag
+    real[:m, m:] = -minus.imag
+    real[m:, m:] = minus[d:].real
+    real[d:, :d] *= math.sqrt(2.0)
+    real[:d, d:] /= math.sqrt(2.0)
+    return real
 
 
 def steady_state(problem: LindbladProblem) -> DensityMatrix:
@@ -479,15 +417,17 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
     each sector of :func:`charge_gaps` into itself, so the state is solved
     on the k = 0 block alone.  Its row for rho_00 (which the others imply,
     because the generator preserves the trace) is replaced by the trace
-    functional, and the block is solved for unit trace.  A block of up to
-    ``DENSE_STEADY_ROWS`` rows is written in real Hermitian coordinates and
-    solved by a dense LAPACK LU (:func:`_real_bordered`), which gives a
-    state Hermitian by construction.  A larger one is solved in complex
-    entries by a sparse LU, and its solution is Hermitized.  The coordinates
-    are orthonormal, so both blocks have the same singular values.  An
-    exactly singular factor, or an estimated sigma_min/sigma_max of the
-    bordered block below ``KERNEL_TOL``, signals a kernel that is not
-    one-dimensional and raises :class:`DegenerateSteadyStateError`.
+    functional, and the block is solved for unit trace.  Only the factoring
+    depends on the size: a block of up to ``DENSE_STEADY_ROWS`` rows is
+    written in real Hermitian coordinates (:func:`_real_block`, with the
+    same singular values) and factored by a dense LAPACK LU, a larger one by
+    a sparse complex LU in ascending row-major order, which SuperLU factors
+    faster.  An exactly singular factor, or an estimated sigma_min/sigma_max
+    of the bordered block below ``KERNEL_TOL``, signals a kernel that is not
+    one-dimensional and raises :class:`DegenerateSteadyStateError`.  rho is
+    assembled from its diagonal and its rho_ij (i < j), with rho_ji = conj
+    rho_ij, so it is Hermitian by construction; from complex entries, rho_ij
+    is the Hermitian part (rho_ij + conj rho_ji)/2 of the solution.
 
     The k = 0 block alone decides uniqueness: a steady X != 0 with k != 0
     forces a second steady state with k = 0.  Suppose the k = 0 kernel is
@@ -510,11 +450,46 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
     identity it gives a two-dimensional k = 0 kernel, a contradiction.
     """
     d = problem.layout.total_dim
-    in_sector = charge_gaps(problem) == 0
-    if np.count_nonzero(in_sector) <= DENSE_STEADY_ROWS:
-        rho = _real_steady(problem, in_sector.reshape(d, d))
+    in_sector = (charge_gaps(problem) == 0).reshape(d, d)
+    i, j = np.nonzero(np.triu(in_sector, 1))
+    ii, ij, ji = np.arange(0, d * d, d + 1), i * d + j, j * d + i
+    dense = np.count_nonzero(in_sector) <= DENSE_STEADY_ROWS
+    order = np.concatenate([ii, ij, ji]) if dense else np.flatnonzero(in_sector)
+    block = liouvillian(problem, order)
+    block[0] = order % (d + 1) == 0  # the trace row: each rho_ii sits at i (d + 1)
+    if dense:
+        block = _real_block(block, d)
+        lu, piv, info = dgetrf(block)
+        if info > 0:
+            raise DegenerateSteadyStateError(
+                f"generator kernel is degenerate (pivot {info} of the dense LU is exactly zero)")
+
+        def solve(rhs, trans="N"):
+            return dgetrs(lu, piv, rhs, trans=int(trans == "H"))[0]
+
+        def upper(a, b):
+            return (a + 1j * b) / math.sqrt(2.0)
     else:
-        rho = _complex_steady(problem, np.flatnonzero(in_sector))
+        block = csc_array(block)
+        try:
+            solve = splu(block).solve
+        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+            raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
+
+        def upper(rho_ij, rho_ji):
+            return (rho_ij + rho_ji.conj()) / 2.0
+    ratio = _inverse_condition(block, solve)
+    if not ratio >= KERNEL_TOL:
+        raise DegenerateSteadyStateError(
+            f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})")
+    solution = np.zeros(d * d, dtype=block.dtype)  # row-major: (x, a, b) or complex entries
+    solution[order] = solve((order == 0).astype(block.dtype))  # e_0: unit trace, zero elsewhere
+    solution /= solution[ii].real.sum()
+    off = upper(solution[ij], solution[ji])
+    rho = np.zeros((d, d), dtype=complex)
+    rho.flat[ii] = solution[ii].real
+    rho.flat[ij] = off
+    rho.flat[ji] = off.conj()
     return DensityMatrix(problem.layout, rho, trace_tol=1e-9, eig_tol=1e-7)
 
 

@@ -630,7 +630,11 @@ class SweepResult:
     rows: tuple
     summary: dict
     metadata: dict
-    failures: tuple = ()
+
+    @property
+    def failures(self) -> tuple:
+        """(grid index, error text) of each failed job, from metadata["failed_jobs"]."""
+        return tuple((f["index"], f["error"]) for f in self.metadata["failed_jobs"])
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -686,7 +690,6 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
         outcomes = [_job_outcome(cfg, job) for job in jobs]
     # a failed job has no rows
     rows = [row for job_rows, _ in outcomes for row in job_rows]
-    failures = [(i, error) for i, (_, error) in enumerate(outcomes) if error is not None]
     summary = _summarize(cfg, spec.columns, rows)
     metadata = {
         "artifact_version": __version__,
@@ -696,9 +699,10 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
         "config_sha256": config_hash(cfg),
         "seed": cfg["seed"],
         "row_count": len(rows),
-        "failed_jobs": [{"index": i, "error": e} for i, e in failures],
+        "failed_jobs": [{"index": i, "error": e}
+                        for i, (_, e) in enumerate(outcomes) if e is not None],
     }
-    return SweepResult(cfg["kind"], spec.columns, tuple(rows), summary, metadata, tuple(failures))
+    return SweepResult(cfg["kind"], spec.columns, tuple(rows), summary, metadata)
 
 
 def write_csv(path, columns, rows):
@@ -730,6 +734,11 @@ def read_result(path) -> SweepResult:
     meta = saved.get("metadata") if isinstance(saved, dict) else None
     _require(isinstance(meta, dict) and {"kind", "config", "failed_jobs"} <= meta.keys()
              and "summary" in saved, f"the summary.json beside {path} is not a stabsim summary")
+    failed = meta["failed_jobs"]
+    _require(isinstance(failed, list) and all(isinstance(f, dict) and type(f.get("index")) is int
+                                              and isinstance(f.get("error"), str) for f in failed),
+             f"metadata.failed_jobs must list objects with an integer index and an error text, "
+             f"got {failed!r}")
     _require(table and all(len(line) == len(table[0]) for line in table),
              f"{path} is not a stabsim result table")
     rows = tuple(tuple(_cell(c) for c in line) for line in table[1:])
@@ -770,11 +779,7 @@ def compare_analytic(result: SweepResult):
     cfg = validate_config(result.metadata["config"])
     _require(cfg["kind"] == result.kind,
              f"metadata.kind {result.kind!r} does not match the config's kind {cfg['kind']!r}")
-    failures = result.metadata["failed_jobs"]
-    _require(isinstance(failures, list)
-             and all(isinstance(f, dict) and type(f.get("index")) is int for f in failures),
-             f"metadata.failed_jobs must list objects with an integer index, got {failures!r}")
-    failed = {f["index"] for f in failures}
+    failed = {index for index, _ in result.failures}
     jobs = [job for i, job in enumerate(spec.jobs(cfg)) if i not in failed]
     _require(len(jobs) == len(result.rows),
              f"result has {len(result.rows)} rows but its config gives {len(jobs)} jobs")

@@ -22,7 +22,7 @@ from stabsim.builders import (
 )
 from stabsim.dynamics import (
     _inverse_condition,
-    _real_bordered,
+    _real_block,
     DegenerateSteadyStateError,
     DriveSchedule,
     FitError,
@@ -602,8 +602,14 @@ def complex_bordered(problem):
 
 
 def real_bordered(problem):
+    """The trace-bordered k = 0 block in real Hermitian coordinates."""
     d = problem.layout.total_dim
-    return _real_bordered(problem, (charge_gaps(problem) == 0).reshape(d, d))[0]
+    i, j = np.nonzero(np.triu((charge_gaps(problem) == 0).reshape(d, d), 1))
+    order = np.concatenate([np.arange(0, d * d, d + 1), i * d + j, j * d + i])  # (ii, ij, ji)
+    bordered = liouvillian(problem, order)
+    bordered[0] = 0.0
+    bordered[0, :d] = 1.0
+    return _real_block(bordered, d)
 
 
 def null_space_state(problem):
@@ -710,13 +716,26 @@ class TestSteadyPaths:
         assert steady_factors == {"dense": 1, "sparse": 1}
         assert np.max(np.abs(dense - sparse)) < 1e-12
 
-    def test_dense_state_is_hermitian_by_construction(self, solved_problems, steady_factors):
+    def test_state_is_hermitian_by_construction(self, solved_problems, steady_path):
         run_scenario(RABI_POINTS)
         problems = list(_random_problems(8)) + solved_problems + [even_problem(LAYOUT_D36)]
         for problem in problems:
             rho = steady_state(problem).entries
             assert np.array_equal(rho, rho.conj().T)
-        assert steady_factors["sparse"] == 0
+
+    def test_one_generator_scatter_per_solve(self, monkeypatch, steady_path):
+        calls = []
+        real = stabsim.dynamics.liouvillian
+
+        def counting(problem, sector=None):
+            calls.append(None if sector is None else len(sector))
+            return real(problem, sector)
+
+        monkeypatch.setattr(stabsim.dynamics, "liouvillian", counting)
+        for problem in [even_problem(LAYOUT), even_problem(LAYOUT_D36)]:
+            calls.clear()
+            steady_state(problem)
+            assert calls == [np.count_nonzero(charge_gaps(problem) == 0)]
 
     # the benchmark's block sizes: d = 16 Bell and Rabi points, a d = 36 Bell point, the
     # d = 64 Bell point of CI's tphi_sweep and a d = 36 Rabi point (mixed_d3's seed 1)

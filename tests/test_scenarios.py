@@ -457,6 +457,30 @@ class TestCompareAnalytic:
         from_disk = compare_analytic(read_result(tmp_path))[1]
         assert [(r[0], r[2]) for r in from_disk] == [(r[0], r[2]) for r in (full[0], full[2])]
 
+    def test_failed_jobs_survive_a_write_read_round_trip(self, monkeypatch, tmp_path):
+        original = scenarios._run_job
+
+        def flaky(cfg, job):
+            if job == ("psi", 1.0):  # job 1
+                raise RuntimeError("synthetic point failure")
+            return original(cfg, job)
+
+        monkeypatch.setattr(scenarios, "_run_job", flaky)
+        result = run_scenario(SMALL_KAPPA_SWEEP)
+        assert [index for index, _ in result.failures] == [1]
+        assert "synthetic point failure" in result.failures[0][1]
+        write_result(result, tmp_path)
+        assert read_result(tmp_path).failures == result.failures
+
+    def test_failed_job_without_error_rejected(self, tmp_path):
+        write_result(run_scenario(SMALL_KAPPA_SWEEP), tmp_path)
+        summary_path = tmp_path / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary["metadata"]["failed_jobs"] = [{"index": 1}]
+        summary_path.write_text(json.dumps(summary))
+        with pytest.raises(ConfigError, match="an integer index and an error text"):
+            read_result(tmp_path)
+
     def test_row_missing_from_the_csv_rejected(self, tmp_path):
         write_result(run_scenario(SMALL_KAPPA_SWEEP), tmp_path)
         csv_path = tmp_path / "result.csv"
