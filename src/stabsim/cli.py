@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -114,10 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building takes about twenty times as long as a parse
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; a bad config or an unreadable file ends in one line
     on stderr and exit code 1."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:

@@ -24,7 +24,9 @@ factorization, the only size-dependent step: a dense real one in Hermitian
 coordinates for blocks of up to ``DENSE_STEADY_ROWS`` rows, a sparse
 complex one above.  The same factor gives the conditioning estimate that
 rejects a kernel that is not one-dimensional; the state is Hermitian by
-construction.
+construction.  Everything but the generator's values is built once per
+layout and nonzero pattern of the operators, and a sweep's points of one
+pattern only refill the values in place.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ KERNEL_TOL = 1e-8
 CONDITION_STEPS = 4
 # k = 0 blocks of up to this many rows are solved by a dense real LU (LAPACK
 # dgetrf), larger ones by a sparse complex LU (SuperLU).  Per whole
-# steady_state call (one BLAS thread, 2-core x86-64) the dense path took 0.53x
-# the sparse one's time at B = 70, 0.67x at 256, 0.92x at 404, 1.12x at 548
-# and 1.17x at 646.
+# steady_state call with a known pattern (best of 5 rounds, one BLAS thread,
+# 2-core x86-64) the dense path took 0.59x the sparse one's time at B = 70,
+# 0.62x at 262, 0.90x at 404, 1.08x at 548 and 1.38x at 646.
 DENSE_STEADY_ROWS = 500
 
 # Cost model that picks how an interval key is crossed, in
@@ -137,37 +139,53 @@ def charge_gaps(problem: LindbladProblem) -> np.ndarray:
     return (charge[:, None] - charge[None, :]).reshape(-1)
 
 
+def _term_entries(nonzeros: list, d: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """(rows, cols, mask) of the entries inside the block of `rows` and
+    `cols`, each distinct row-major indices i d + j, of each generator term
+    X (x) Y: -i H_eff (x) I, I (x) i conj(H_eff), then L (x) conj(L) per
+    collapse operator, each over its factors' `nonzeros` (H_eff's, then each
+    L's).  No term writes an entry twice.  The mask picks the entries' values
+    from the grids of :func:`_term_values`."""
+    row_at, col_at = np.full((2, d * d), -1)  # row-major index -> row, column in the block or -1
+    row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
+    eye, h = (np.arange(d),) * 2, nonzeros[0]
+    pairs = [(h, eye), (eye, h)] + [(nz, nz) for nz in nonzeros[1:]]
+    entries = []
+    for (rx, cx), (ry, cy) in pairs:  # <i j|X (x) Y|k l> = X[i, k] Y[j, l]
+        r, c = row_at[d * rx[:, None] + ry], col_at[d * cx[:, None] + cy]
+        inside = (r >= 0) & (c >= 0)
+        entries.append((r[inside], c[inside], inside))
+    return entries
+
+
+def _term_values(problem: LindbladProblem) -> tuple:
+    """H_eff = H - (i/2) sum_k L_k^dag L_k, the nonzeros of H_eff and of each
+    L_k, and the value grid of each term, masked as :func:`_term_entries` says."""
+    h_eff = problem.hamiltonian.entries.astype(complex)
+    for op in problem.collapse_ops:
+        h_eff -= 0.5j * (op.entries.conj().T @ op.entries)
+    nonzeros = [np.nonzero(m) for m in (h_eff, *(op.entries for op in problem.collapse_ops))]
+    v, d = h_eff[nonzeros[0]], len(h_eff)
+    grids = [np.broadcast_to((-1j * v)[:, None], (len(v), d)),
+             np.broadcast_to(1j * v.conj(), (d, len(v)))]
+    for op, nonzero in zip(problem.collapse_ops, nonzeros[1:]):
+        v = op.entries[nonzero]
+        grids.append(v[:, None] * v.conj())
+    return h_eff, nonzeros, grids
+
+
 def liouvillian(problem: LindbladProblem, sector: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense H_eff-form generator acting on row-major vectorized density matrices.
 
     With `sector`, an array of distinct row-major indices i d + j, only the
     block of those rows and columns is scattered and returned, in that order.
     """
-    h_eff = problem.hamiltonian.entries.astype(complex)
-    for op in problem.collapse_ops:
-        h_eff -= 0.5j * (op.entries.conj().T @ op.entries)
-    d = len(h_eff)
-    if sector is None:
-        sector = np.arange(d * d)
-    where = np.full(d * d, -1)  # row-major index -> position in the sector, -1 outside it
-    where[sector] = np.arange(len(sector))
+    h_eff, nonzeros, grids = _term_values(problem)
+    sector = np.arange(h_eff.size) if sector is None else sector
     gen = np.zeros((len(sector), len(sector)), dtype=complex)
-
-    def scatter(rows, cols, values):
-        # each call writes an entry at most once, so += adds every value
-        rows, cols = where[rows], where[cols]
-        inside = (rows >= 0) & (cols >= 0)
-        gen[rows[inside], cols[inside]] += np.broadcast_to(values, inside.shape)[inside]
-
-    r, c = np.nonzero(h_eff)
-    v = h_eff[r, c][:, None]
-    other = np.arange(d)
-    scatter(d * r[:, None] + other, d * c[:, None] + other, -1j * v)  # <i j|L|k j> = -i H_eff[i, k]
-    scatter(r[:, None] + d * other, c[:, None] + d * other, 1j * v.conj())  # <i j|L|i l>
-    for op in problem.collapse_ops:
-        r, c = np.nonzero(op.entries)
-        v = op.entries[r, c]
-        scatter(d * r[:, None] + r, d * c[:, None] + c, v[:, None] * v.conj())
+    for (rows, cols, inside), grid in zip(_term_entries(nonzeros, len(h_eff), sector, sector),
+                                          grids):
+        gen[rows, cols] += grid[inside]
     return gen
 
 
@@ -346,15 +364,17 @@ def evolve(
     return Trajectory(grid, states, *_qubit_metrics(states, target))
 
 
-def _inverse_condition(mat, solve) -> float:
-    """Estimate of sigma_min/sigma_max of `mat` in the 2-norm.
+def _inverse_condition(mat) -> tuple:
+    """Estimate of sigma_min/sigma_max of `mat` in the 2-norm, and solve(v)
+    = mat^-1 v, solve(v, "H") = mat^-H v from mat's LU: LAPACK's, in place,
+    for a dense real `mat`, SuperLU's for a sparse complex one.
 
-    ``CONDITION_STEPS`` power steps on mat^H mat give sigma_max, and as many
-    on its inverse give 1/sigma_min, through `solve`: solve(v) returns
-    mat^-1 v and solve(v, "H") returns mat^-H v, as a factor's solve does.
-    Both converge from below, so the estimate is never below the exact
-    ratio.  The start vector is fixed, and real for a real `mat`, so the
-    estimate is deterministic.
+    ``CONDITION_STEPS`` power steps on mat^H mat, before the LU overwrites
+    mat, give sigma_max, and as many through solve give 1/sigma_min.  Both
+    converge from below, so the estimate is never below the exact ratio.
+    The start vector is fixed, and real for a real `mat`, so the estimate is
+    deterministic.  An exactly singular factor raises
+    :class:`DegenerateSteadyStateError`.
     """
     rng = np.random.default_rng(0)
     n = mat.shape[0]
@@ -369,17 +389,31 @@ def _inverse_condition(mat, solve) -> float:
         sigma_max = np.linalg.norm(u)
         v = adjoint @ u
         v /= np.linalg.norm(v)
+    if isinstance(mat, np.ndarray):
+        lu, piv, info = dgetrf(mat, overwrite_a=1)
+        if info > 0:
+            raise DegenerateSteadyStateError(
+                f"generator kernel is degenerate (pivot {info} of the dense LU is exactly zero)")
+
+        def solve(rhs, trans="N"):
+            return dgetrs(lu, piv, rhs, trans=int(trans == "H"))[0]
+    else:
+        try:
+            solve = splu(mat).solve
+        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+            raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
     v = start
     for _ in range(CONDITION_STEPS):
         u = solve(v)
         inv_sigma_min = np.linalg.norm(u)
         v = solve(u, "H")
         v /= np.linalg.norm(v)
-    return float(1.0 / (inv_sigma_min * sigma_max))
+    return float(1.0 / (inv_sigma_min * sigma_max)), solve
 
 
-def _real_block(block: np.ndarray, d: int) -> np.ndarray:
-    """U^H L U of the k = 0 block L, in real Hermitian coordinates.
+def _real_block(top: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """U^H L U of the k = 0 block L in real Hermitian coordinates, into `out`,
+    from `top`, L's rows ii and ij.
 
     L's rows and columns are in the order (ii, ij, ji): the sector's `d`
     entries rho_ii, then its entries rho_ij (i < j), then the rho_ji of the
@@ -390,27 +424,72 @@ def _real_block(block: np.ndarray, d: int) -> np.ndarray:
     L maps Hermitian matrices to Hermitian matrices, so U^H L U is real, and
     row ji of L U is the conjugate of row ij: row x_i of U^H L U is row ii
     of L U, and the rows of a_ij and b_ij are sqrt2 Re and sqrt2 Im of row
-    ij.  Every part of U^H L U is thus a contiguous slice of L's rows ii and
-    ij.  A row ii replaced by a functional of the rho_ii, such as the trace,
-    stays that functional of the x_i.
+    ij.  Every part of U^H L U is thus a slice of L's rows ii and ij.  A row
+    ii replaced by a functional of the rho_ii, such as the trace, stays that
+    functional of the x_i.
     """
-    m = (len(block) + d) // 2
-    top = block[:m]  # rows ii and ij
-    plus = top[:, d:m] + top[:, m:]  # sqrt2 times the a columns of L U
-    minus = top[:, d:m] - top[:, m:]  # -i sqrt2 times the b columns of L U
-    real = np.empty(block.shape)
-    real[:m, :d] = top[:, :d].real
-    real[m:, :d] = top[d:, :d].imag
-    real[:m, d:m] = plus.real
-    real[m:, d:m] = plus[d:].imag
-    real[:m, m:] = -minus.imag
-    real[m:, m:] = minus[d:].real
-    real[d:, :d] *= math.sqrt(2.0)
-    real[:d, d:] /= math.sqrt(2.0)
-    return real
+    m = len(top)
+    ij, ji = top[:, d:m], top[:, m:]
+    out[:m, :d] = top[:, :d].real
+    out[m:, :d] = top[d:, :d].imag
+    # sqrt2 times the a columns of L U are ij + ji, -i sqrt2 times the b columns ij - ji
+    np.add(ij.real, ji.real, out=out[:m, d:m])
+    np.add(ij[d:].imag, ji[d:].imag, out=out[m:, d:m])
+    np.subtract(ij.imag, ji.imag, out=out[:m, m:])
+    np.negative(out[:m, m:], out=out[:m, m:])
+    np.subtract(ij[d:].real, ji[d:].real, out=out[m:, m:])
+    out[d:, :d] *= math.sqrt(2.0)
+    out[:d, d:] /= math.sqrt(2.0)
+    return out
 
 
-def steady_state(problem: LindbladProblem) -> DensityMatrix:
+class _Pattern:
+    """What steady solves with one layout and one nonzero pattern of H, H_eff
+    and each L_k share: the k = 0 index sets and order, where each term goes
+    among the stored values of the trace-bordered block, and that block.  A
+    dense one is kept as complex rows ii and ij (`top`) and the real block
+    that :func:`_real_block` fills and the LU overwrites, both shared by the
+    dense patterns of one shape in a `patterns` dict; a sparse one as CSC."""
+
+    def __init__(self, problem: LindbladProblem, nonzeros: list, patterns: dict):
+        d = problem.layout.total_dim
+        in_sector = (charge_gaps(problem) == 0).reshape(d, d)
+        i, j = np.nonzero(np.triu(in_sector, 1))
+        self.ii, self.ij, self.ji = np.arange(0, d * d, d + 1), i * d + j, j * d + i
+        size = np.count_nonzero(in_sector)
+        self.dense = size <= DENSE_STEADY_ROWS
+        self.order = (np.concatenate([self.ii, self.ij, self.ji]) if self.dense
+                      else np.flatnonzero(in_sector))
+        trace = np.flatnonzero(self.order % (d + 1) == 0)  # each rho_ii sits at i (d + 1)
+        height = d + len(i) if self.dense else size  # _real_block reads no row ji
+        entries = _term_entries(nonzeros, d, self.order[1:height], self.order)  # row 0: trace
+        self.masks = [inside for _, _, inside in entries]
+        if self.dense:  # patterns of one shape share this storage, so a fill clears it all
+            twins = [p for p in patterns.values() if p.dense and p.top.shape == (height, size)]
+            self.top = twins[0].top if twins else np.zeros((height, size), dtype=complex)
+            self.real = twins[0].real if twins else np.empty((size, size), order="F")
+            self.top[0, trace] = 1.0
+            self.values, self.filled = self.top.reshape(-1), slice(size, None)
+            self.slots = [(rows + 1) * size + cols for rows, cols, _ in entries]
+        else:
+            keys = [cols * size + rows + 1 for rows, cols, _ in entries]  # column-major, as CSC
+            stored = np.unique(np.concatenate(keys + [trace * size]))
+            self.block = csc_array((np.zeros(len(stored), dtype=complex), stored % size,
+                                    np.searchsorted(stored, np.arange(size + 1) * size)),
+                                   shape=(size, size))
+            self.values = self.block.data
+            self.values[np.searchsorted(stored, trace * size)] = 1.0
+            self.slots = [np.searchsorted(stored, key) for key in keys]
+            self.filled = np.unique(np.concatenate(self.slots))
+
+    def fill(self, grids: list):
+        """Write a generator from its terms' value grids, added in :func:`liouvillian`'s order."""
+        self.values[self.filled] = 0.0
+        for slots, inside, grid in zip(self.slots, self.masks, grids):
+            self.values[slots] += grid[inside]
+
+
+def steady_state(problem: LindbladProblem, patterns: Optional[dict] = None) -> DensityMatrix:
     """Steady state from one LU solve of the trace-bordered k = 0 block.
 
     Every diagonal entry rho_ii has charge gap k = 0, and the generator maps
@@ -420,14 +499,20 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
     functional, and the block is solved for unit trace.  Only the factoring
     depends on the size: a block of up to ``DENSE_STEADY_ROWS`` rows is
     written in real Hermitian coordinates (:func:`_real_block`, with the
-    same singular values) and factored by a dense LAPACK LU, a larger one by
-    a sparse complex LU in ascending row-major order, which SuperLU factors
-    faster.  An exactly singular factor, or an estimated sigma_min/sigma_max
-    of the bordered block below ``KERNEL_TOL``, signals a kernel that is not
-    one-dimensional and raises :class:`DegenerateSteadyStateError`.  rho is
-    assembled from its diagonal and its rho_ij (i < j), with rho_ji = conj
-    rho_ij, so it is Hermitian by construction; from complex entries, rho_ij
-    is the Hermitian part (rho_ij + conj rho_ji)/2 of the solution.
+    same singular values) and factored in place by a dense LAPACK LU, a
+    larger one by a sparse complex LU in ascending row-major order, which
+    SuperLU factors faster.  An exactly singular factor, or an estimated
+    sigma_min/sigma_max of the bordered block below ``KERNEL_TOL``, signals
+    a kernel that is not one-dimensional and raises
+    :class:`DegenerateSteadyStateError`.  rho is assembled from its diagonal
+    and its rho_ij (i < j), with rho_ji = conj rho_ij, so it is Hermitian by
+    construction; from complex entries, rho_ij is the Hermitian part
+    (rho_ij + conj rho_ji)/2 of the solution.
+
+    `patterns`, one dict that a sweep passes to all its points, keeps a
+    :class:`_Pattern` per layout and nonzero pattern of H, H_eff and each
+    L_k, so a point of a known pattern only writes its values.  Without it
+    each call builds its own; rho is bit for bit the same either way.
 
     The k = 0 block alone decides uniqueness: a steady X != 0 with k != 0
     forces a second steady state with k = 0.  Suppose the k = 0 kernel is
@@ -450,42 +535,23 @@ def steady_state(problem: LindbladProblem) -> DensityMatrix:
     identity it gives a two-dimensional k = 0 kernel, a contradiction.
     """
     d = problem.layout.total_dim
-    in_sector = (charge_gaps(problem) == 0).reshape(d, d)
-    i, j = np.nonzero(np.triu(in_sector, 1))
-    ii, ij, ji = np.arange(0, d * d, d + 1), i * d + j, j * d + i
-    dense = np.count_nonzero(in_sector) <= DENSE_STEADY_ROWS
-    order = np.concatenate([ii, ij, ji]) if dense else np.flatnonzero(in_sector)
-    block = liouvillian(problem, order)
-    block[0] = order % (d + 1) == 0  # the trace row: each rho_ii sits at i (d + 1)
-    if dense:
-        block = _real_block(block, d)
-        lu, piv, info = dgetrf(block)
-        if info > 0:
-            raise DegenerateSteadyStateError(
-                f"generator kernel is degenerate (pivot {info} of the dense LU is exactly zero)")
-
-        def solve(rhs, trans="N"):
-            return dgetrs(lu, piv, rhs, trans=int(trans == "H"))[0]
-
-        def upper(a, b):
-            return (a + 1j * b) / math.sqrt(2.0)
-    else:
-        block = csc_array(block)
-        try:
-            solve = splu(block).solve
-        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-            raise DegenerateSteadyStateError(f"generator kernel is degenerate ({exc})") from exc
-
-        def upper(rho_ij, rho_ji):
-            return (rho_ij + rho_ji.conj()) / 2.0
-    ratio = _inverse_condition(block, solve)
+    h_eff, nonzeros, grids = _term_values(problem)
+    operators = (problem.hamiltonian.entries, h_eff, *(op.entries for op in problem.collapse_ops))
+    key = (problem.layout, *((op != 0).tobytes() for op in operators))
+    patterns = {} if patterns is None else patterns
+    pattern = patterns[key] = patterns.get(key) or _Pattern(problem, nonzeros, patterns)
+    pattern.fill(grids)
+    block = _real_block(pattern.top, d, pattern.real) if pattern.dense else pattern.block
+    ratio, solve = _inverse_condition(block)
     if not ratio >= KERNEL_TOL:
         raise DegenerateSteadyStateError(
             f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})")
+    order, ii, ij, ji = pattern.order, pattern.ii, pattern.ij, pattern.ji
     solution = np.zeros(d * d, dtype=block.dtype)  # row-major: (x, a, b) or complex entries
     solution[order] = solve((order == 0).astype(block.dtype))  # e_0: unit trace, zero elsewhere
     solution /= solution[ii].real.sum()
-    off = upper(solution[ij], solution[ji])
+    a, b = solution[ij], solution[ji]  # (a, b), or rho_ij and rho_ji
+    off = (a + 1j * b) / math.sqrt(2.0) if pattern.dense else (a + b.conj()) / 2.0
     rho = np.zeros((d, d), dtype=complex)
     rho.flat[ii] = solution[ii].real
     rho.flat[ij] = off

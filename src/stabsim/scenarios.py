@@ -278,11 +278,12 @@ def _qubit_state(state: DensityMatrix) -> np.ndarray:
     return partial_trace(state, {"q1", "q2"}).entries
 
 
-def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, layout: SpaceLayout):
+def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, layout: SpaceLayout,
+                         patterns: dict):
     """Reduced two-qubit steady state of a planned stabilization of `hqq`,
     and the plan's target (the ground state of `hqq`)."""
     plan = plan_stabilization(hqq, d["w1"], d["w2"], colors)
-    rq = _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise)))
+    rq = _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise), patterns))
     return rq, plan.target
 
 
@@ -328,7 +329,8 @@ def _check_segments(cfg: dict, raw: dict):
             _require(key in ("parity", "duration_us"), f"unknown config key 'segments[{i}].{key}'")
 
 
-def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                       patterns: dict) -> list:
     problem, target = _bell_problem(cfg["family"], _drives_rad(cfg["drives"]), noise, layout)
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, cfg["grid"]["t_max_us"] + 1e-9 * dt, dt)
@@ -337,7 +339,8 @@ def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) ->
             for t, f, p, par in zip(traj.times, traj.fidelity, traj.purity, traj.parity)]
 
 
-def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                         patterns: dict) -> list:
     segments = tuple(
         ScheduleSegment(seg["duration_us"], seg["parity"] + "_parity",
                         **_drives_rad(cfg["drives"][seg["parity"]]))
@@ -378,13 +381,14 @@ def _theta_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     return cfg["family"], _drives_rad(cfg["drives"]), noise, math.radians(job[1])
 
 
-def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                              patterns: dict) -> list:
     family, d, noise, theta = _theta_inputs(cfg, job, noise)
     delta = delta_for_blending_angle(d["omega"], theta)
     qq_color, colors, swapped, target = _BLENDING[family]
     hqq = build_qubit_block(qq=SidebandDrive(qq_color, d["omega"], delta))
     rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
-                                 noise, layout)
+                                 noise, layout, patterns)
     target = target(theta)
     return [(job[1], delta / TWO_PI, fidelity(rq, target), purity(rq), parity_signature(rq))]
 
@@ -412,22 +416,22 @@ def _omega_kappa_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     return cfg["family"], drives, _with_kappa(noise, kappa_mhz), math.pi / 2.0
 
 
-def _bell_steady(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec):
+def _bell_steady(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec, patterns: dict):
     """Reduced steady state and target of the job's Bell recipe."""
     family, d, noise, _ = KINDS[cfg["kind"]].inputs(cfg, job, noise)
     problem, target = _bell_problem(family, d, noise, layout)
-    return _qubit_state(steady_state(problem)), target
+    return _qubit_state(steady_state(problem, patterns)), target
 
 
-def _tphi_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    rq, target = _bell_steady(cfg, job, layout, noise)
+def _tphi_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec, patterns: dict) -> list:
+    rq, target = _bell_steady(cfg, job, layout, noise, patterns)
     return [(job[0], float(job[1]), fidelity(rq, target), purity(rq))]
 
 
-def _kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec, patterns: dict) -> list:
     family, ratio = job
     kappa_mhz = ratio * float(_family_drives(cfg, family)["w1_mhz"])
-    rq, target = _bell_steady(cfg, job, layout, noise)
+    rq, target = _bell_steady(cfg, job, layout, noise, patterns)
     return [(family, float(ratio), kappa_mhz, fidelity(rq, target), purity(rq))]
 
 
@@ -441,13 +445,15 @@ def _kappa_peaks(cfg: dict, named: dict) -> dict:
     return {"peak": peak}
 
 
-def _omega_kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    rq, target = _bell_steady(cfg, job, layout, noise)
+def _omega_kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                       patterns: dict) -> list:
+    rq, target = _bell_steady(cfg, job, layout, noise, patterns)
     f = fidelity(rq, target)
     return [(float(job[0]), float(job[1]), f, 1.0 - f)]
 
 
-def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                          patterns: dict) -> list:
     branch, a_over_om = job
     d = _drives_rad(cfg["drives"])
     a1 = a_over_om * d["omega"]
@@ -456,22 +462,25 @@ def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec)
     hqq = build_qubit_block(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
     # each branch refills like the parity recipe with its qubit-qubit color
     colors = RECIPES["even_parity" if branch == "blue" else "odd_parity"].qr
-    rq, _ = _planned_qubit_state(hqq, d, colors, noise, layout)
+    rq, _ = _planned_qubit_state(hqq, d, colors, noise, layout, patterns)
     return [(branch, float(a_over_om), math.degrees(theta1), fidelity(rq, target), purity(rq))]
 
 
-def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
+def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                        patterns: dict) -> list:
     d_over_om, a_over_om = job
     d = _drives_rad(cfg["drives"])
     delta, a1 = d_over_om * d["omega"], a_over_om * d["omega"]
     # the plan's target is rabi_dressed_state's: the block's phase-fixed ground state
     hqq = rabi_dressed_block(delta, a1, d["omega"])
-    rq, target = _planned_qubit_state(hqq, d, RECIPES["even_parity"].qr, noise, layout)
+    rq, target = _planned_qubit_state(hqq, d, RECIPES["even_parity"].qr, noise, layout,
+                                     patterns)
     return [(float(d_over_om), float(a_over_om), fidelity(rq, target), purity(rq))]
 
 
-def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec) -> list:
-    f = _theta_spectroscopy_point(cfg, job, layout, noise)[0][2]
+def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+                      patterns: dict) -> list:
+    f = _theta_spectroscopy_point(cfg, job, layout, noise, patterns)[0][2]
     f_rate = _rate_model_fidelity(cfg, job, noise)
     return [(job[1], f, f_rate, abs(f - f_rate))]
 
@@ -494,10 +503,12 @@ def _rate_model_fidelity(cfg: dict, job, noise: NoiseSpec) -> float:
 class KindSpec:
     """Everything the runner knows about one scenario kind.
 
-    `point(cfg, job, layout, noise)` returns the rows of one job from
-    `jobs(cfg)`.  Optional hooks: `check(cfg, raw)` validates (and may
-    fill in) kind-specific fields, `summary(cfg, named_columns)` adds
-    summary entries.  A kind with a rate-model counterpart has
+    `point(cfg, job, layout, noise, patterns)` returns the rows of one job
+    from `jobs(cfg)`; `patterns` is the dict of generator patterns that its
+    steady_state calls share (see :func:`stabsim.dynamics.steady_state`).
+    Optional hooks: `check(cfg, raw)` validates (and may fill in)
+    kind-specific fields, `summary(cfg, named_columns)` adds summary
+    entries.  A kind with a rate-model counterpart has
     `inputs(cfg, job, noise)`, the job's (family, rad/us drives, NoiseSpec,
     blending angle), which its point and the rate model both read; with a
     `label`, a format string of the job's fields, :func:`compare_analytic`
@@ -615,10 +626,10 @@ KINDS = {
 # job enumeration and execution
 
 
-def _run_job(cfg: dict, job) -> list:
+def _run_job(cfg: dict, job, patterns: dict) -> list:
     dim = cfg["resonator_dim"]
     layout = SpaceLayout((("q1", 2), ("q2", 2), ("r1", dim), ("r2", dim)))
-    return KINDS[cfg["kind"]].point(cfg, job, layout, _noise_from_config(cfg["noise"]))
+    return KINDS[cfg["kind"]].point(cfg, job, layout, _noise_from_config(cfg["noise"]), patterns)
 
 
 @dataclass(frozen=True)
@@ -655,10 +666,10 @@ def _summarize(cfg: dict, columns, rows) -> dict:
     return summary
 
 
-def _job_outcome(cfg: dict, job) -> tuple:
+def _job_outcome(cfg: dict, job, patterns: dict) -> tuple:
     """(rows, None), or ([], the error) when the job raises."""
     try:
-        return _run_job(cfg, job), None
+        return _run_job(cfg, job, patterns), None
     except Exception as exc:  # noqa: BLE001 - worker errors are data
         return [], f"{type(exc).__name__}: {exc}"
 
@@ -675,7 +686,9 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
 
     Results are deterministic for a fixed config and seed, and
     independent of `workers` (rows merge by grid index).  `workers` None
-    runs serially; an integer below 1 raises :class:`ConfigError`.
+    runs serially; an integer below 1 raises :class:`ConfigError`.  The
+    steady-state generator patterns live for this call: a serial run shares
+    one dict across its jobs, a parallel one gives each job its own.
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -684,10 +697,11 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     jobs = spec.jobs(cfg)
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_job_outcome, cfg, job) for job in jobs]
+            futures = [pool.submit(_job_outcome, cfg, job, {}) for job in jobs]
             outcomes = [_collect(f) for f in futures]
     else:
-        outcomes = [_job_outcome(cfg, job) for job in jobs]
+        patterns: dict = {}
+        outcomes = [_job_outcome(cfg, job, patterns) for job in jobs]
     # a failed job has no rows
     rows = [row for job_rows, _ in outcomes for row in job_rows]
     summary = _summarize(cfg, spec.columns, rows)

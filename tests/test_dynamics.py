@@ -1,12 +1,14 @@
 import itertools
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse import csc_array
-from scipy.sparse.linalg import MatrixRankWarning, splu
+from scipy.sparse.linalg import MatrixRankWarning
 
 from stabsim.builders import (
     RECIPES,
@@ -470,9 +472,9 @@ def solved_problems(monkeypatch):
     problems = []
     real = stabsim.scenarios.steady_state
 
-    def recording(problem):
+    def recording(problem, patterns):
         problems.append(problem)
-        return real(problem)
+        return real(problem, patterns)
 
     monkeypatch.setattr(stabsim.scenarios, "steady_state", recording)
     return problems
@@ -609,7 +611,7 @@ def real_bordered(problem):
     bordered = liouvillian(problem, order)
     bordered[0] = 0.0
     bordered[0, :d] = 1.0
-    return _real_block(bordered, d)
+    return _real_block(bordered[:d + len(i)], d, np.empty(bordered.shape))
 
 
 def null_space_state(problem):
@@ -634,7 +636,7 @@ class TestSteadyStateReference:
         s = np.linalg.svd(bordered, compute_uv=False)
         exact = s[-1] / s[0]
         sparse = csc_array(bordered)
-        estimate = _inverse_condition(sparse, splu(sparse).solve)
+        estimate, _ = _inverse_condition(sparse)
         assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
     @pytest.mark.parametrize("problem", list(_random_problems()))
@@ -643,7 +645,7 @@ class TestSteadyStateReference:
         s = np.linalg.svd(bordered, compute_uv=False)
         exact = s[-1] / s[0]
         sparse = csc_array(bordered)
-        estimate = _inverse_condition(sparse, splu(sparse).solve)
+        estimate, _ = _inverse_condition(sparse)
         assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
     @pytest.mark.parametrize("problem", list(_random_problems()))
@@ -725,16 +727,19 @@ class TestSteadyPaths:
 
     def test_one_generator_scatter_per_solve(self, monkeypatch, steady_path):
         calls = []
-        real = stabsim.dynamics.liouvillian
+        real = stabsim.dynamics._term_entries
 
-        def counting(problem, sector=None):
-            calls.append(None if sector is None else len(sector))
-            return real(problem, sector)
+        def counting(nonzeros, d, rows, cols):
+            calls.append(len(cols))
+            return real(nonzeros, d, rows, cols)
 
-        monkeypatch.setattr(stabsim.dynamics, "liouvillian", counting)
+        monkeypatch.setattr(stabsim.dynamics, "_term_entries", counting)
         for problem in [even_problem(LAYOUT), even_problem(LAYOUT_D36)]:
             calls.clear()
-            steady_state(problem)
+            patterns = {}
+            steady_state(problem, patterns)
+            assert calls == [np.count_nonzero(charge_gaps(problem) == 0)]
+            steady_state(problem, patterns)  # a known pattern: the values only
             assert calls == [np.count_nonzero(charge_gaps(problem) == 0)]
 
     # the benchmark's block sizes: d = 16 Bell and Rabi points, a d = 36 Bell point, the
@@ -766,12 +771,7 @@ class TestSteadyPaths:
         bordered = real_bordered(problem)
         s = np.linalg.svd(bordered, compute_uv=False)
         exact = s[-1] / s[0]
-        factor = scipy.linalg.lu_factor(bordered)
-
-        def solve(v, trans="N"):
-            return scipy.linalg.lu_solve(factor, v, trans=int(trans == "H"))
-
-        estimate = _inverse_condition(bordered, solve)
+        estimate, _ = _inverse_condition(bordered)
         assert exact * (1 - 1e-9) <= estimate <= 2.0 * exact
 
     @pytest.mark.parametrize("drive, cause", [(0.0, "exactly zero"), (1e-5, "estimated")],
@@ -788,6 +788,77 @@ class TestSteadyPaths:
             with pytest.raises(DegenerateSteadyStateError, match=cause):
                 steady_state(problem)
         assert steady_factors == {"dense": 1, "sparse": 0}
+
+
+# a d = 16 Rabi-driven sweep through a1 = 0: one charged point (B = 70) and two
+# uncharged ones (B = 256) that share their operators' nonzero pattern
+RABI_THROUGH_ZERO = {"kind": "rabi_dressed_map",
+                     "grid": {"delta_over_omega": [0.3], "a1_over_omega": [0.0, 0.2, 0.5]}}
+
+
+class TestSteadyPatterns:
+    """One generator pattern per layout and operator nonzero pattern, shared by a sweep."""
+
+    def test_shared_patterns_give_the_one_shot_states(self, monkeypatch, steady_path):
+        calls = []
+        real = stabsim.scenarios.steady_state
+
+        def recording(problem, patterns):
+            rho = real(problem, patterns)
+            calls.append((problem, patterns, rho))
+            return rho
+
+        monkeypatch.setattr(stabsim.scenarios, "steady_state", recording)
+        run_scenario(RABI_THROUGH_ZERO)
+        assert [np.count_nonzero(charge_gaps(p) == 0) for p, _, _ in calls] == [70, 256, 256]
+        patterns = calls[0][1]
+        assert all(p is patterns for _, p, _ in calls)
+        assert len(patterns) == 2
+        for problem, _, rho in calls:
+            assert rho.entries.tobytes() == steady_state(problem).entries.tobytes()
+
+    def test_patterns_of_one_shape_share_storage(self, solved_problems):
+        # the two families conserve different charges: two k = 0 sectors of 70 rows
+        run_scenario({"kind": "tphi_sweep", "families": ["psi", "phi"],
+                      "grid": {"tphi_us": [20.0]}})
+        charges = [tuple(conserved_charge(p)) for p in solved_problems]
+        assert len(set(charges)) == 2
+        for problems in (solved_problems, solved_problems[::-1]):
+            patterns = {}
+            for problem in problems:
+                rho = steady_state(problem, patterns).entries
+                assert rho.tobytes() == steady_state(problem).entries.tobytes()
+            first, second = patterns.values()
+            assert first.top is second.top and len(first.order) == len(second.order) == 70
+
+    def test_collapse_sets_never_share_a_pattern(self):
+        finite = even_problem(LAYOUT)
+        infinite = build_lindblad(
+            build_even_parity_system(TWO_PI * 2.0, 0.0, TWO_PI * 0.47, TWO_PI * 0.47, LAYOUT),
+            replace(DEVICE_NOISE, tphi_q1=math.inf, tphi_q2=math.inf))
+        assert len(infinite.collapse_ops) < len(finite.collapse_ops)
+        for problems in ([finite, infinite], [infinite, finite]):
+            patterns = {}
+            for problem in problems:
+                rho = steady_state(problem, patterns).entries
+                assert rho.tobytes() == steady_state(problem).entries.tobytes()
+            assert len(patterns) == 2
+
+    def test_warm_dense_solve_allocates_no_block(self, solved_problems):
+        run_scenario({"kind": "rabi_dressed_map",
+                      "grid": {"delta_over_omega": [0.3], "a1_over_omega": [0.5]}})
+        (problem,) = solved_problems
+        size = np.count_nonzero(charge_gaps(problem) == 0)
+        assert size == 256 <= stabsim.dynamics.DENSE_STEADY_ROWS
+        patterns = {}
+        steady_state(problem, patterns)
+        tracemalloc.start()
+        try:
+            steady_state(problem, patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size * 8  # the bytes of one real B x B array
 
 
 class TestGeneratorResidual:

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from stabsim import scenarios
+from stabsim import cli, scenarios
 from stabsim.builders import plan_stabilization
 from stabsim.calibration import load_device_table
 from stabsim.cli import main
@@ -330,10 +330,10 @@ class TestRunScenario:
     def test_worker_failure_flagged(self, monkeypatch):
         original = scenarios._run_job
 
-        def flaky(cfg, job):
+        def flaky(cfg, job, patterns):
             if job == ("point", 90.0):
                 raise RuntimeError("synthetic point failure")
-            return original(cfg, job)
+            return original(cfg, job, patterns)
 
         monkeypatch.setattr(scenarios, "_run_job", flaky)
         cfg = {
@@ -351,10 +351,10 @@ class TestRunScenario:
     def test_crashed_worker_becomes_job_failure(self, monkeypatch):
         original = scenarios._run_job
 
-        def crashing(cfg, job):
+        def crashing(cfg, job, patterns):
             if job == ("psi", 1.0):
                 os._exit(1)  # the worker dies, as under an out-of-memory kill
-            return original(cfg, job)
+            return original(cfg, job, patterns)
 
         monkeypatch.setattr(scenarios, "_run_job", crashing)
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", functools.partial(
@@ -369,10 +369,10 @@ class TestRunScenario:
     def test_family_without_rows_left_out_of_kappa_peaks(self, monkeypatch):
         original = scenarios._run_job
 
-        def flaky(cfg, job):
+        def flaky(cfg, job, patterns):
             if job[0] == "phi":
                 raise RuntimeError("synthetic family failure")
-            return original(cfg, job)
+            return original(cfg, job, patterns)
 
         monkeypatch.setattr(scenarios, "_run_job", flaky)
         result = run_scenario(dict(SMALL_KAPPA_SWEEP, families=["psi", "phi"]))
@@ -444,10 +444,10 @@ class TestCompareAnalytic:
         full = compare_analytic(run_scenario(SMALL_KAPPA_SWEEP))[1]
         original = scenarios._run_job
 
-        def flaky(cfg, job):
+        def flaky(cfg, job, patterns):
             if job == ("psi", 1.0):  # job 1
                 raise RuntimeError("synthetic point failure")
-            return original(cfg, job)
+            return original(cfg, job, patterns)
 
         monkeypatch.setattr(scenarios, "_run_job", flaky)
         result = run_scenario(SMALL_KAPPA_SWEEP)
@@ -460,10 +460,10 @@ class TestCompareAnalytic:
     def test_failed_jobs_survive_a_write_read_round_trip(self, monkeypatch, tmp_path):
         original = scenarios._run_job
 
-        def flaky(cfg, job):
+        def flaky(cfg, job, patterns):
             if job == ("psi", 1.0):  # job 1
                 raise RuntimeError("synthetic point failure")
-            return original(cfg, job)
+            return original(cfg, job, patterns)
 
         monkeypatch.setattr(scenarios, "_run_job", flaky)
         result = run_scenario(SMALL_KAPPA_SWEEP)
@@ -616,6 +616,26 @@ class TestCli:
         assert main(["show-config", "tphi_sweep"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert cfg == default_config("tphi_sweep")
+
+    def test_parser_built_once_and_parses_stay_apart(self, monkeypatch, tmp_path):
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_KAPPA_SWEEP))
+        for name, extra in (("seeded", ["--seed", "99"]), ("plain", [])):
+            argv = ["run", str(cfg_path), "--out", str(tmp_path / name), "--workers", "1"]
+            assert main(argv + extra) == 0
+        assert len(builds) == 1
+        seeds = [json.loads((tmp_path / name / "summary.json").read_text())["metadata"]["seed"]
+                 for name in ("seeded", "plain")]
+        assert seeds == [99, validate_config(SMALL_KAPPA_SWEEP)["seed"]]
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
