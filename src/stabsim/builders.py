@@ -1,9 +1,10 @@
 """Rotating-frame Hamiltonians and Lindblad problems for all drive combinations.
 
-Sideband colors follow the usual convention: a "red" qubit-resonator (or
-qubit-qubit) sideband exchanges excitations (a^dag b + h.c.), a "blue"
-one pumps pairs (a b + h.c.).  All rates and detunings are angular
-frequencies in rad/us.
+Every drive term is ladder-operator algebra.  A "red" sideband exchanges
+excitations (x^dag y + h.c.), a "blue" one pumps pairs (x y + h.c.): that
+one rule is :func:`stabsim.targets.sideband`, and the two-qubit block
+applies it to the read-only a_q1, a_q2 of :mod:`stabsim.targets`.  All
+rates and detunings are angular frequencies in rad/us.
 
 The named builders reproduce fixed drive recipes with their printed
 detuning placement; :func:`plan_stabilization` derives resonator
@@ -20,14 +21,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hilbert import (
-    ComplexOperator,
-    SpaceLayout,
-    annihilation,
-    eigendecompose,
-    number_op,
+from .hilbert import ComplexOperator, SpaceLayout, annihilation, eigendecompose, number_op
+from .targets import (
+    A_Q1,
+    A_Q2,
+    TWO_QUBIT_LAYOUT,
+    StabilizationTarget,
+    _normalized,
+    check_color,
+    sideband,
+    sideband_factor,
 )
-from .targets import TWO_QUBIT_LAYOUT, StabilizationTarget, _normalized, check_color
 
 # plan tolerances relative to max|E|: E_A+E_D-E_B-E_C, and the least ground gap E_B-E_A
 MATCHING_TOL = 1e-6
@@ -119,15 +123,15 @@ def assemble(
 
     H = hqq (x) 1 + (W1/2)(o_q1 a_r1 + h.c.) + (W2/2)(o_q2 a_r2 + h.c.)
         + det1 n_r1 + det2 n_r2
-    with o_q = a_q for a blue sideband and a_q^dag for a red one, and each
-    resonator's photon energy taken from its sideband detuning.
+    with o_q = a_q for a blue sideband and a_q^dag for a red one
+    (:func:`stabsim.targets.sideband`), and each resonator's photon energy
+    taken from its sideband detuning.
     """
     res_dim = layout.total_dim // 4
     a = {label: annihilation(layout, label).entries for label in ("q1", "q2", "r1", "r2")}
     h = np.kron(hqq.entries, np.eye(res_dim, dtype=complex))
     for aq, ar, drive in ((a["q1"], a["r1"], qr1), (a["q2"], a["r2"], qr2)):
-        term = (aq if drive.color == "blue" else aq.conj().T) @ ar
-        h += (drive.rate / 2.0) * (term + term.conj().T)
+        h += (drive.rate / 2.0) * sideband(aq, ar, drive.color)
     h += (
         qr1.detuning * (a["r1"].conj().T @ a["r1"])
         + qr2.detuning * (a["r2"].conj().T @ a["r2"])
@@ -225,26 +229,19 @@ def build_qubit_block(
     rabi_q2: Optional[RabiDrive] = None,
 ) -> ComplexOperator:
     """4x4 rotating-frame two-qubit Hamiltonian in the basis (gg, ge, eg, ee)
-    of at most one qubit-qubit sideband and one Rabi drive per qubit.
-
-    The qubit-qubit sideband detuning sits on the q1-excited states; the
-    split-detuning block of the Rabi-dressed family is
-    :func:`stabsim.targets.rabi_dressed_block`.
+    of at most one qubit-qubit sideband and one Rabi drive per qubit:
+    (A_q/2)(a_q + a_q^dag) + delta_q n_q per Rabi drive, then (Omega/2)
+    sideband(a_q1, a_q2, color) + delta n_q1, so the sideband detuning sits on
+    the q1-excited states.  The split-detuning block of the Rabi-dressed
+    family is :func:`stabsim.targets.rabi_dressed_block`.
     """
     h = np.zeros((4, 4), dtype=complex)
-    # a Rabi drive flips one qubit; its detuning shifts the states where it is excited
-    for rabi, pairs, excited in (
-        (rabi_q1, ((0, 2), (1, 3)), [2, 3]),
-        (rabi_q2, ((0, 1), (2, 3)), [1, 3]),
-    ):
+    for a, rabi in ((A_Q1, rabi_q1), (A_Q2, rabi_q2)):
         if rabi is not None:
-            for i, j in pairs:
-                h[i, j] = h[j, i] = h[i, j] + rabi.rate / 2.0
-            h[excited, excited] += rabi.detuning
+            h += (rabi.rate / 2.0) * (a + a.conj().T) + rabi.detuning * (a.conj().T @ a)
     if qq is not None:
-        i, j = (0, 3) if qq.color == "blue" else (1, 2)
-        h[i, j] = h[j, i] = h[i, j] + qq.rate / 2.0
-        h[[2, 3], [2, 3]] += qq.detuning
+        h += (qq.rate / 2.0) * sideband(A_Q1, A_Q2, qq.color)
+        h += qq.detuning * (A_Q1.conj().T @ A_Q1)
     return ComplexOperator(TWO_QUBIT_LAYOUT, h)
 
 
@@ -256,18 +253,6 @@ class StabilizationPlan:
     qr1: SidebandDrive
     qr2: SidebandDrive
     target: StabilizationTarget
-
-
-def _refill_coupling(vectors: np.ndarray, qubit: int, color: str) -> np.ndarray:
-    """|<A| o_q |X>| for X = each eigenvector column, A the first, with o_q
-    the refilling operator.
-
-    A blue sideband refills the target through o_q = a_q^dag (the photon
-    is created together with a qubit excitation), a red one through
-    o_q = a_q."""
-    aq = annihilation(TWO_QUBIT_LAYOUT, f"q{qubit}").entries
-    op = aq.conj().T if color == "blue" else aq
-    return np.abs(vectors[:, 0].conj() @ op @ vectors)
 
 
 def plan_stabilization(
@@ -304,8 +289,9 @@ def plan_stabilization(
     gap_c = e[2] - e[0]
     if gap_b <= DEGENERATE_GAP_TOL * scale:
         raise ValueError(f"degenerate ground state (E_B-E_A = {gap_b:.3e}); no unique target")
-    m1 = _refill_coupling(vectors, 1, colors[0])
-    m2 = _refill_coupling(vectors, 2, colors[1])
+    # |<A| o_q |X>| over the eigenvectors X, o_q the refilling adjoint of the sideband factor
+    m1, m2 = (np.abs(vectors[:, 0].conj() @ sideband_factor(a, color).conj().T @ vectors)
+              for a, color in zip((A_Q1, A_Q2), colors))
     # r1 takes the gap of whichever middle state q1 connects to the target
     if m1[1] * m2[2] >= m1[2] * m2[1]:
         det1, det2 = gap_b, gap_c

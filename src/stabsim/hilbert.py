@@ -309,18 +309,15 @@ def number_op(layout: SpaceLayout, subsystem: str) -> ComplexOperator:
 def fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
 
-    Magnitude ties are broken by the lowest index, making the output
-    deterministic for identical input.
+    Magnitudes within 1e-12 of the column maximum tie and the lowest index wins,
+    so the output is deterministic; a zero column stays as it is.
     """
     out = np.array(vectors, dtype=complex)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        # np.argmax returns the first maximal index, which implements the tie rule
-        j = int(np.argmax(np.isclose(mags, mags.max(), rtol=0, atol=1e-12)))
-        pivot = col[j]
-        if abs(pivot) > 0:
-            out[:, k] = col * (abs(pivot) / pivot)
+    mags = np.abs(out)
+    pivots = out[np.argmax(mags.max(axis=0) - mags <= 1e-12, axis=0), np.arange(out.shape[1])]
+    live = np.abs(pivots) > 0
+    # numpy's scalar complex division: on some builds its array loop rounds differently
+    out[:, live] *= [abs(p) / p for p in pivots[live]]
     return out
 
 

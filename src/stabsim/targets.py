@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, eigendecompose
+from .hilbert import ComplexOperator, DensityMatrix, SpaceLayout, annihilation, eigendecompose
 
 TWO_QUBIT_LAYOUT = SpaceLayout((("q1", 2), ("q2", 2)))
+# the read-only lowering operators a_q1, a_q2 of the 4x4 two-qubit block
+A_Q1, A_Q2 = (annihilation(TWO_QUBIT_LAYOUT, q).entries for q in ("q1", "q2"))
 
 COLORS = ("red", "blue")
 
@@ -37,6 +39,19 @@ def mirror_angle(theta: float, color: str) -> float:
     drive swaps the two branches of a mixing angle."""
     check_color(color)
     return theta if color == "blue" else math.pi - theta
+
+
+def sideband_factor(x: np.ndarray, color: str) -> np.ndarray:
+    """`x` under a blue sideband, which pumps pairs (x y + h.c.), x^dag under a red
+    one, which exchanges (x^dag y + h.c.); its adjoint refills a stabilized target."""
+    check_color(color)
+    return x if color == "blue" else x.conj().T
+
+
+def sideband(x: np.ndarray, y: np.ndarray, color: str) -> np.ndarray:
+    """The Hermitian sideband term o y + h.c. with o = sideband_factor(x, color)."""
+    term = sideband_factor(x, color) @ y
+    return term + term.conj().T
 
 
 @dataclass(frozen=True)
@@ -161,14 +176,11 @@ def rabi_dressed_coefficients(delta: float, a1: float, omega: float) -> np.ndarr
 
 
 def rabi_dressed_block(delta: float, a1: float, omega: float) -> ComplexOperator:
-    """4x4 two-qubit block of the Rabi-dressed family: a blue qubit-qubit
-    sideband at Omega, a Rabi drive A1 on q1, and the detuning delta split
-    as -+delta/2 across the diagonal."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 3] = h[3, 0] = omega / 2.0
-    h[0, 2] = h[2, 0] = a1 / 2.0
-    h[1, 3] = h[3, 1] = a1 / 2.0
-    h += np.diag([-delta / 2.0, delta / 2.0, -delta / 2.0, delta / 2.0])
+    """4x4 two-qubit block of the Rabi-dressed family: a Rabi drive A1 on q1,
+    a blue qubit-qubit sideband at Omega, and the detuning delta split as
+    -+delta/2 across the diagonal, delta (n_q2 - 1/2)."""
+    h = (a1 / 2.0) * (A_Q1 + A_Q1.conj().T) + (omega / 2.0) * sideband(A_Q1, A_Q2, "blue")
+    h += delta * (A_Q2.conj().T @ A_Q2 - np.eye(4) / 2.0)
     return ComplexOperator(TWO_QUBIT_LAYOUT, h)
 
 

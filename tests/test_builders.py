@@ -22,12 +22,16 @@ from stabsim.hilbert import (
     ComplexOperator,
     DensityMatrix,
     SpaceLayout,
+    annihilation,
     eigendecompose,
     number_op,
     partial_trace,
 )
 from stabsim.targets import (
+    A_Q1,
+    A_Q2,
     TWO_QUBIT_LAYOUT,
+    _normalized,
     delta_for_blending_angle,
     fidelity,
     psi_theta,
@@ -235,6 +239,116 @@ class TestQubitBlock:
         vals, vecs = np.linalg.eigh(h.entries)
         ground = vecs[:, 0]
         assert abs(abs(np.vdot(ground, np.array([1, 0, 0, -1]) / np.sqrt(2))) - 1) < 1e-12
+
+
+def index_table_block(qq=None, rabi_q1=None, rabi_q2=None):
+    # reference: the two-qubit block written entry by entry from index tables
+    h = np.zeros((4, 4), dtype=complex)
+    for rabi, pairs, excited in (
+        (rabi_q1, ((0, 2), (1, 3)), [2, 3]),
+        (rabi_q2, ((0, 1), (2, 3)), [1, 3]),
+    ):
+        if rabi is not None:
+            for i, j in pairs:
+                h[i, j] = h[j, i] = h[i, j] + rabi.rate / 2.0
+            h[excited, excited] += rabi.detuning
+    if qq is not None:
+        i, j = (0, 3) if qq.color == "blue" else (1, 2)
+        h[i, j] = h[j, i] = h[i, j] + qq.rate / 2.0
+        h[[2, 3], [2, 3]] += qq.detuning
+    return h
+
+
+def hand_entry_rabi_dressed_block(delta, a1, omega):
+    # reference: the Rabi-dressed block written entry by entry
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 3] = h[3, 0] = omega / 2.0
+    h[0, 2] = h[2, 0] = a1 / 2.0
+    h[1, 3] = h[3, 1] = a1 / 2.0
+    h += np.diag([-delta / 2.0, delta / 2.0, -delta / 2.0, delta / 2.0])
+    return h
+
+
+def embedded_refill_plan(hqq, colors):
+    # reference: the plan's detunings and target with each refilling operator
+    # embedded afresh, a_q^dag for a blue sideband and a_q for a red one
+    e, vectors = eigendecompose(hqq)
+    m = []
+    for qubit, color in zip(("q1", "q2"), colors):
+        aq = annihilation(TWO_QUBIT_LAYOUT, qubit).entries
+        op = aq.conj().T if color == "blue" else aq
+        m.append(np.abs(vectors[:, 0].conj() @ op @ vectors))
+    gap_b, gap_c = e[1] - e[0], e[2] - e[0]
+    dets = (gap_b, gap_c) if m[0][1] * m[1][2] >= m[0][2] * m[1][1] else (gap_c, gap_b)
+    return float(dets[0]), float(dets[1]), _normalized(vectors[:, 0]).amplitudes
+
+
+def random_detuning(rng):
+    return float(rng.choice([rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 0.0), 0.0, -0.0]))
+
+
+def random_rate(rng):
+    return float(rng.choice([rng.uniform(0.0, 10.0), 0.0]))
+
+
+def random_drives(rng):
+    """A qubit-qubit sideband and two Rabi drives, each present or absent."""
+    qq = SidebandDrive(str(rng.choice(["red", "blue"])), random_rate(rng), random_detuning(rng))
+    rabi_q1 = RabiDrive(random_rate(rng), random_detuning(rng))
+    rabi_q2 = RabiDrive(random_rate(rng), random_detuning(rng))
+    present = rng.integers(0, 2, 3)
+    return {name: drive for name, drive, keep in
+            zip(("qq", "rabi_q1", "rabi_q2"), (qq, rabi_q1, rabi_q2), present) if keep}
+
+
+class TestDriveVocabulary:
+    def test_ladder_operators_are_read_only_embeddings(self):
+        for a, qubit in ((A_Q1, "q1"), (A_Q2, "q2")):
+            assert not a.flags.writeable
+            assert np.array_equal(a, annihilation(TWO_QUBIT_LAYOUT, qubit).entries)
+
+    def test_qubit_block_equals_index_tables(self):
+        rng = np.random.default_rng(24)
+        seen = set()
+        for _ in range(2000):
+            drives = random_drives(rng)
+            seen.add(tuple(sorted(drives)))
+            got = build_qubit_block(**drives).entries
+            assert got.tobytes() == index_table_block(**drives).tobytes(), drives
+        # no drive, each drive alone, each pair and all three together
+        assert len(seen) == 8
+
+    @pytest.mark.parametrize("color", ["red", "blue"])
+    @pytest.mark.parametrize("detuning", [0.0, -0.0, -1.7, 2.3])
+    def test_qubit_block_signed_zero_and_zero_rates(self, color, detuning):
+        for rate in (0.0, 1.3):
+            drives = {"qq": SidebandDrive(color, rate, detuning),
+                      "rabi_q1": RabiDrive(rate, detuning), "rabi_q2": RabiDrive(0.0, detuning)}
+            got = build_qubit_block(**drives).entries
+            assert got.tobytes() == index_table_block(**drives).tobytes()
+
+    def test_rabi_dressed_block_equals_hand_entries(self):
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            args = (random_detuning(rng), random_rate(rng), random_rate(rng))
+            got = rabi_dressed_block(*args).entries
+            assert got.tobytes() == hand_entry_rabi_dressed_block(*args).tobytes(), args
+
+    def test_plan_equals_embedded_refill_operators(self):
+        rng = np.random.default_rng(26)
+        planned = 0
+        for _ in range(1000):
+            hqq = build_qubit_block(**random_drives(rng))
+            for colors in (("blue", "blue"), ("red", "blue"), ("blue", "red"), ("red", "red")):
+                try:
+                    plan = plan_stabilization(hqq, 0.3, 0.4, colors)
+                except ValueError:  # a degenerate or unmatched block has no plan
+                    continue
+                det1, det2, target = embedded_refill_plan(hqq, colors)
+                assert (plan.qr1.detuning, plan.qr2.detuning) == (det1, det2)
+                assert plan.target.amplitudes.tobytes() == target.tobytes()
+                planned += 1
+        assert planned > 1000
 
 
 def random_block(kind, rng):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from stabsim.hilbert import (
     eigendecompose,
     embed_local,
     expectation,
+    fix_eigenvector_phases,
     local_annihilation,
     number_op,
     partial_trace,
@@ -74,6 +76,24 @@ def block_states(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(stabsim.hilbert, "BLOCK_BYTES", request.param * 16 * 16 * 16)
     return request.param
+
+
+def column_loop_phases(vectors):
+    # reference: the per-column loop that fix_eigenvector_phases replaced
+    out = np.array(vectors, dtype=complex)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        mags = np.abs(col)
+        j = int(np.argmax(np.isclose(mags, mags.max(), rtol=0, atol=1e-12)))
+        pivot = col[j]
+        if abs(pivot) > 0:
+            out[:, k] = col * (abs(pivot) / pivot)
+    return out
+
+
+def random_unitary(dim, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
 
 
 def brute_force_index(levels):
@@ -267,6 +287,38 @@ class TestEigendecompose:
         op = ComplexOperator(layout, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError):
             eigendecompose(op)
+
+
+class TestFixEigenvectorPhases:
+    def test_equals_column_loop_on_random_unitaries(self):
+        rng = np.random.default_rng(24)
+        for dim in (2, 3, 4, 8, 16, 36) * 20:
+            q = random_unitary(dim, rng)
+            assert fix_eigenvector_phases(q).tobytes() == column_loop_phases(q).tobytes()
+
+    def test_equals_column_loop_on_ties(self):
+        rng = np.random.default_rng(25)
+        for dim in (2, 4, 16) * 20:
+            q = random_unitary(dim, rng)
+            # one exact tie and one within 1e-12 of the maximum, each with a random phase
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, dim)))
+            q[:, 0] = phases[0] / np.sqrt(dim)
+            q[:, 1] = phases[1] / np.sqrt(dim)
+            q[-1, 1] *= 1 + 5e-13
+            fixed = fix_eigenvector_phases(q)
+            assert fixed.tobytes() == column_loop_phases(q).tobytes()
+            # the first index of the tie is the pivot, not the slightly larger last one
+            for k in (0, 1):
+                assert abs(fixed[0, k].imag) < 1e-15 and fixed[0, k].real > 0
+
+    def test_zero_column_left_alone_without_warning(self):
+        q = random_unitary(4, np.random.default_rng(26))
+        q[:, 2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed = fix_eigenvector_phases(q)
+        assert fixed.tobytes() == column_loop_phases(q).tobytes()
+        assert np.array_equal(fixed[:, 2], np.zeros(4))
 
 
 class TestPartialTrace:

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from stabsim.builders import RabiDrive, SidebandDrive, build_qubit_block, plan_stabilization
 from stabsim.ratemodel import optimal_kappa, rate_model, refilling_rate, steady_fidelity
 from stabsim.targets import (
+    A_Q1,
     StabilizationTarget,
     bell_phi_minus,
     bell_psi_minus,
@@ -23,6 +24,7 @@ from stabsim.targets import (
     purity,
     rabi_dressed_coefficients,
     rabi_dressed_state,
+    sideband_factor,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -145,6 +147,7 @@ COLOR_USERS = {
         build_qubit_block(qq=SidebandDrive("blue", 2.0)), 0.1, 0.1, ("blue", c)
     ),
     "dressing_angle": lambda c: dressing_angle(2.0, 1.0, c),
+    "sideband_factor": lambda c: sideband_factor(A_Q1, c),
     "refilling_rate": lambda c: refilling_rate(1.0, 1.0, 1.0, c),
     "optimal_kappa": lambda c: optimal_kappa(1.0, 1.0, c),
     "steady_fidelity": lambda c: steady_fidelity(0.5, 0.1, 1.0, c),
