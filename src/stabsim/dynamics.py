@@ -11,16 +11,22 @@ commutes with a charge C = sum_s c_s n_s and every L_k shifts C by a fixed
 amount (a weak U(1) symmetry), the generator is block-diagonal in the
 charge gap k = C(i) - C(j) of a matrix entry rho_ij, so steady states are
 solved and states evolved one sector at a time; a problem without such a
-charge has one sector, the whole space.  Evolution is fixed-step classical
-4th-order Runge-Kutta; for this linear, time-independent generator the RK4
-update is exactly the degree-4 truncated exponential P_h.  A grid interval
-of n steps is crossed in one of three ways: by one precomputed product
-P_h^n; by dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and
-n mod 2^J with P_h; or by n Horner-form steps of four sparse products with
-the generator.  One cost model, fitted to measured timings, prices all
-three and picks the cheapest.  A steady state solves the k = 0 block with
-its first row replaced by the trace functional, through one LU
-factorization, the only size-dependent step: a dense real one in Hermitian
+charge has one sector, the whole space.  The generator maps Hermitian
+matrices to Hermitian matrices, so in the orthonormal coordinates x_ii =
+rho_ii, a_ij = sqrt2 Re rho_ij, b_ij = sqrt2 Im rho_ij (i < j) of the k = 0
+sector its block is a real matrix, and sector -k is the adjoint of sector
+k.  Evolution is fixed-step classical 4th-order Runge-Kutta; for this
+linear, time-independent generator the RK4 update is exactly the degree-4
+truncated exponential P_h.  It steps the k = 0 sector as that real block
+and only the sectors k > 0 besides, and writes each k < 0 as an adjoint,
+so every evolved state is Hermitian by construction.  A grid interval of
+n steps is crossed in one of three ways: by one precomputed product P_h^n;
+by dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and n mod 2^J
+with P_h; or by n Horner-form steps of four sparse products with the
+generator.  One cost model, fitted to measured timings, prices all three
+and picks the cheapest.  A steady state solves the k = 0 block with its
+first row replaced by the trace functional, through one LU factorization,
+the only size-dependent step: a dense real one in the Hermitian
 coordinates for blocks of up to ``DENSE_STEADY_ROWS`` rows, a sparse
 complex one above.  The same factor gives the conditioning estimate that
 rejects a kernel that is not one-dimensional; the state is Hermitian by
@@ -75,7 +81,11 @@ DENSE_STEADY_ROWS = 500
 #   zgemv (P @ vector)     2.7-4.5 / 23-33 / 289-348 us
 #   zgemm (P @ P)          0.06-0.08 / 2.4-3.7 / 36-37 ms
 # zgemv takes about 0.45 ns an entry while P fits in cache and 0.8 ns from
-# B = 480 on; the model's 0.6 ns lies between.
+# B = 480 on; the model's 0.6 ns lies between.  The real k = 0 block that
+# evolve steps (385 / 1,785 / 4,829 entries) is priced by the same complex
+# timings: its kernels run 2-6x faster, but every key that
+# TestEvolvePaths.test_path_choice pins keeps the path and J it had as a
+# complex block.
 SPARSE_STEP_S = 30e-6  # a sparse Horner step: per step,
 SPARSE_STEP_S_PER_NNZ = 15e-9  # plus per stored generator entry
 FORM_S_PER_NNZ_ROW = 10e-9  # forming P_h, per stored entry and row
@@ -278,7 +288,7 @@ def _crossing(gen, h: float, n: int, uses: int) -> list:
     choice = int(np.argmin(costs))  # J, then bit_length for P_h^n, then sparse steps
     if choice > n.bit_length():
         return []
-    p_h = _rk4_steps(gen, h, 1, np.eye(size, dtype=complex))
+    p_h = _rk4_steps(gen, h, 1, np.eye(size, dtype=gen.dtype))
     if choice == n.bit_length():
         return [(np.linalg.matrix_power(p_h, n), 1)]
     q = p_h
@@ -301,14 +311,18 @@ def evolve(
     overrides it; each grid interval is subdivided evenly into n steps of
     size h so grid points are hit exactly.  Intervals share a key when they
     take the same n and their h / step agree to 12 digits, and all take the
-    first one's h.  The state is split by charge gap k, and each sector that
-    `rho0` occupies is evolved on its own block of size B.  The u intervals
-    of a key cross a block in whichever of three ways the cost model of
-    ``SPARSE_STEP_S`` and the constants after it, from B, the block's stored
-    entries, u and n, charges least: P_h^n formed once and applied once per
-    interval; dense steps, with P_h squared J times to Q = P_h^(2^J), then
-    floor(n / 2^J) products with Q and n mod 2^J with P_h per interval; or
-    n Horner-form steps on the sparse block.
+    first one's h.  The state is split by charge gap k.  The k = 0 sector
+    is evolved as the real block of :func:`_real_block`, in the coordinates
+    x_ii = rho_ii, a_ij = sqrt2 Re rho_ij, b_ij = sqrt2 Im rho_ij, and of
+    the other sectors only each k > 0 whose k or -k `rho0` occupies, on its
+    own complex block; sector -k is the adjoint of sector k, so every
+    sample after the first is Hermitian by construction.  The u intervals
+    of a key cross a block of B rows in whichever of three ways the cost
+    model of ``SPARSE_STEP_S`` and the constants after it, from B, the
+    block's stored entries, u and n, charges least: P_h^n formed once and
+    applied once per interval; dense steps, with P_h squared J times to
+    Q = P_h^(2^J), then floor(n / 2^J) products with Q and n mod 2^J with
+    P_h per interval; or n Horner-form steps on the sparse block.
     Each sample is written into one (n, d, d) array, and after stepping the
     whole array is checked once (:meth:`DensityMatrix.stack`) and, with a
     target, reduced to the qubits by one :func:`partial_trace` call.  A
@@ -327,24 +341,31 @@ def evolve(
     d = layout.total_dim
     samples = np.zeros((grid.size, d, d), dtype=complex)
     samples[0] = rho0.entries
-    vec = samples[0].reshape(-1)
+    flat = samples.reshape(grid.size, d * d)  # a view: row i is sample i, row-major
     gaps = charge_gaps(problem)
-    sectors = [np.flatnonzero(gaps == k) for k in np.unique(gaps[vec != 0])]
-    gens = [csr_array(liouvillian(problem, sector)) for sector in sectors]
-    parts = [vec[sector] for sector in sectors]
-    keys = []
+    index = _hermitian_index(gaps, d)
+    order = np.concatenate(index)
+    sectors = [np.flatnonzero(gaps == k) for k in np.unique(np.abs(gaps[flat[0] != 0])) if k > 0]
+    gens = [csr_array(_real_block(liouvillian(problem, order)[:d + len(index[1])], d,
+                                  np.empty((len(order),) * 2)))]
+    gens += [csr_array(liouvillian(problem, sector)) for sector in sectors]
+    off = flat[0, index[1]] * math.sqrt(2.0)
+    parts = [np.concatenate([flat[0, index[0]].real, off.real, off.imag])]  # (x, a, b)
+    parts += [flat[0, sector] for sector in sectors]
+    # row i of tracks[q]: block q's part of sample i
+    tracks = [np.empty((grid.size, len(part)), dtype=part.dtype) for part in parts]
+    spans = np.diff(grid)
+    counts = np.maximum(1.0, np.ceil(spans / step - 1e-12)).astype(int)
+    sizes = spans / counts
+    keys = list(zip(np.round(sizes / step, 12).tolist(), counts.tolist()))
     step_size = {}  # (round(h / step, 12), n) -> h of the first interval with that key
-    for span in np.diff(grid):
-        n = max(1, int(math.ceil(span / step - 1e-12)))
-        key = (round(span / n / step, 12), n)
-        step_size.setdefault(key, span / n)
-        keys.append(key)
+    for key, h in zip(keys, sizes.tolist()):
+        step_size.setdefault(key, h)
     uses = Counter(keys)
-    crossings = {}  # (sector number, key) -> _crossing on that sector
+    crossings = {}  # (block number, key) -> _crossing on that block
     for i, key in enumerate(keys, start=1):
         h, n = step_size[key], key[1]
-        vec = samples[i].reshape(-1)  # a view: writing it fills sample i
-        for q, (sector, gen) in enumerate(zip(sectors, gens)):
+        for q, gen in enumerate(gens):
             crossing = crossings.get((q, key))
             if crossing is None:
                 crossing = crossings[q, key] = _crossing(gen, h, n, uses[key])
@@ -353,7 +374,11 @@ def evolve(
             for mat, products in crossing:
                 for _ in range(products):
                     parts[q] = mat @ parts[q]
-            vec[sector] = parts[q]
+            tracks[q][i] = parts[q]
+    _from_coordinates(tracks[0][1:], index, flat[1:])
+    for sector, track in zip(sectors, tracks[1:]):
+        flat[1:, sector] = track[1:]
+        flat[1:, sector % d * d + sector // d] = track[1:].conj()  # sector -k at (j, i)
     try:
         states = DensityMatrix.stack(layout, samples, TRAJECTORY_TRACE_TOL, TRAJECTORY_EIG_TOL)
     except StateError as exc:
@@ -411,6 +436,28 @@ def _inverse_condition(mat) -> tuple:
     return float(1.0 / (inv_sigma_min * sigma_max)), solve
 
 
+def _hermitian_index(gaps: np.ndarray, d: int) -> tuple:
+    """Row-major indices (ii, ij, ji) of the k = 0 sector of `gaps`: its `d`
+    entries rho_ii, its entries rho_ij (i < j), then the rho_ji of the same
+    pairs, the order of :func:`_real_block`."""
+    i, j = np.nonzero(np.triu((gaps == 0).reshape(d, d), 1))
+    return np.arange(0, d * d, d + 1), i * d + j, j * d + i
+
+
+def _from_coordinates(coords: np.ndarray, index: tuple, out: np.ndarray) -> np.ndarray:
+    """Write the Hermitian matrix of real Hermitian coordinates (x, a, b)
+    into the row-major `out`, along the last axis of both: rho_ii = x_i,
+    rho_ij = (a_ij + i b_ij) / sqrt2 and rho_ji = conj rho_ij at the
+    `index` of :func:`_hermitian_index`."""
+    ii, ij, ji = index
+    d, m = len(ii), len(ii) + len(ij)
+    off = (coords[..., d:m] + 1j * coords[..., m:]) / math.sqrt(2.0)
+    out[..., ii] = coords[..., :d]
+    out[..., ij] = off
+    out[..., ji] = off.conj()
+    return out
+
+
 def _real_block(top: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     """U^H L U of the k = 0 block L in real Hermitian coordinates, into `out`,
     from `top`, L's rows ii and ij.
@@ -453,15 +500,14 @@ class _Pattern:
 
     def __init__(self, problem: LindbladProblem, nonzeros: list, patterns: dict):
         d = problem.layout.total_dim
-        in_sector = (charge_gaps(problem) == 0).reshape(d, d)
-        i, j = np.nonzero(np.triu(in_sector, 1))
-        self.ii, self.ij, self.ji = np.arange(0, d * d, d + 1), i * d + j, j * d + i
-        size = np.count_nonzero(in_sector)
+        gaps = charge_gaps(problem)
+        self.index = _hermitian_index(gaps, d)
+        pairs = len(self.index[1])
+        size = d + 2 * pairs
         self.dense = size <= DENSE_STEADY_ROWS
-        self.order = (np.concatenate([self.ii, self.ij, self.ji]) if self.dense
-                      else np.flatnonzero(in_sector))
+        self.order = np.concatenate(self.index) if self.dense else np.flatnonzero(gaps == 0)
         trace = np.flatnonzero(self.order % (d + 1) == 0)  # each rho_ii sits at i (d + 1)
-        height = d + len(i) if self.dense else size  # _real_block reads no row ji
+        height = d + pairs if self.dense else size  # _real_block reads no row ji
         entries = _term_entries(nonzeros, d, self.order[1:height], self.order)  # row 0: trace
         self.masks = [inside for _, _, inside in entries]
         if self.dense:  # patterns of one shape share this storage, so a fill clears it all
@@ -546,17 +592,18 @@ def steady_state(problem: LindbladProblem, patterns: Optional[dict] = None) -> D
     if not ratio >= KERNEL_TOL:
         raise DegenerateSteadyStateError(
             f"generator kernel is degenerate (estimated sigma_min/sigma_max = {ratio:.3e})")
-    order, ii, ij, ji = pattern.order, pattern.ii, pattern.ij, pattern.ji
-    solution = np.zeros(d * d, dtype=block.dtype)  # row-major: (x, a, b) or complex entries
-    solution[order] = solve((order == 0).astype(block.dtype))  # e_0: unit trace, zero elsewhere
-    solution /= solution[ii].real.sum()
-    a, b = solution[ij], solution[ji]  # (a, b), or rho_ij and rho_ji
-    off = (a + 1j * b) / math.sqrt(2.0) if pattern.dense else (a + b.conj()) / 2.0
-    rho = np.zeros((d, d), dtype=complex)
-    rho.flat[ii] = solution[ii].real
-    rho.flat[ij] = off
-    rho.flat[ji] = off.conj()
-    return DensityMatrix(problem.layout, rho, trace_tol=1e-9, eig_tol=1e-7)
+    solution = solve((pattern.order == 0).astype(block.dtype))  # e_0: unit trace, zero elsewhere
+    rho = np.zeros(d * d, dtype=complex)
+    if pattern.dense:  # (x, a, b)
+        solution /= solution[:d].sum()
+        _from_coordinates(solution, pattern.index, rho)
+    else:  # complex entries in ascending row-major order
+        ii, ij, ji = pattern.index
+        rho[pattern.order] = solution
+        rho /= rho[ii].real.sum()
+        off = (rho[ij] + rho[ji].conj()) / 2.0
+        rho[ii], rho[ij], rho[ji] = rho[ii].real, off, off.conj()
+    return DensityMatrix(problem.layout, rho.reshape(d, d), trace_tol=1e-9, eig_tol=1e-7)
 
 
 def generator_residual(problem: LindbladProblem, rho: DensityMatrix) -> float:

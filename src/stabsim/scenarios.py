@@ -316,6 +316,15 @@ def _pull_family_drives(cfg: dict, raw: dict):
         cfg["drives"] = _merge(FAMILY_DRIVES[cfg["family"]], raw.get("drives", {}), "drives.")
 
 
+def _check_time_domain(cfg: dict, raw: dict):
+    # the last sample, whose fidelity the summary reports as final, must lie at t_max
+    t_max, dt = cfg["grid"]["t_max_us"], cfg["grid"]["dt_us"]
+    steps = np.rint(t_max / dt)  # inf, and rejected, past the float range
+    _require(steps >= 1 and abs(t_max - steps * dt) <= 1e-9 * dt,
+             f"grid.t_max_us = {t_max!r} must be a whole multiple of grid.dt_us = {dt!r}")
+    _pull_family_drives(cfg, raw)
+
+
 def _check_rate_model_compare(cfg: dict, raw: dict):
     _check_theta_grid(cfg, raw)
     _pull_family_drives(cfg, raw)
@@ -532,7 +541,7 @@ KINDS = {
         defaults={"family": "psi", "drives": FAMILY_DRIVES["psi"], "noise": MEASURED_NOISE,
                   "grid": {"t_max_us": 60.0, "dt_us": 0.25}},
         columns=("t_us", "fidelity", "purity", "parity"),
-        jobs=_single_job, point=_time_domain_point, check=_pull_family_drives,
+        jobs=_single_job, point=_time_domain_point, check=_check_time_domain,
         summary=lambda cfg, named: {"final_fidelity": named["fidelity"][-1]},
     ),
     "theta_spectroscopy": KindSpec(

@@ -8,7 +8,9 @@ all of them as they were:
 
     python tests/default_hashes.py           # print the values
     python tests/default_hashes.py --check   # exit 1 unless they equal
-                                             # tests/golden/default_sha256.json
+                                             # tests/golden/default_sha256.json;
+                                             # the last line names the kinds that moved
+    python tests/default_hashes.py --write   # record them there
 
 The bytes depend on the numpy / BLAS build, so the recorded values hold
 only on the build that wrote them. Pytest does not collect this file.
@@ -57,25 +59,37 @@ def default_hashes() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help=f"compare with {os.path.relpath(GOLDEN, ROOT)}; exit 1 on a mismatch")
+    golden = os.path.relpath(GOLDEN, ROOT)
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--check", action="store_true",
+                        help=f"compare with {golden}; exit 1 on a mismatch")
+    action.add_argument("--write", action="store_true", help=f"record the values in {golden}")
     args = parser.parse_args()
     hashes = default_hashes()
     expected = {}
     if args.check:
         with open(GOLDEN, encoding="utf-8") as fh:
             expected = json.load(fh)
-    mismatches = 0
+    moved = []
     for kind, files in hashes.items():
         for name, digest in files.items():
             want = expected.get(kind, {}).get(name, digest)
             mark = "" if want == digest else f"  MISMATCH, expected {want}"
-            mismatches += bool(mark)
+            if mark and kind not in moved:
+                moved.append(kind)
             print(f"{kind:22} {name:13} {digest}{mark}")
-    if args.check and set(expected) != set(hashes):
+    if args.write:
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(hashes, fh, indent=1)
+            fh.write("\n")
+        print(f"recorded in {golden}")
+    if not args.check:
+        return 0
+    if set(expected) != set(hashes):
         print(f"kinds differ: recorded {sorted(expected)}, run {sorted(hashes)}")
-        mismatches += 1
-    return 1 if mismatches else 0
+        moved += sorted(set(expected) ^ set(hashes))
+    print(f"moved: {', '.join(moved) or 'none'}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

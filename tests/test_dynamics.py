@@ -72,6 +72,21 @@ def even_problem(layout):
     )
 
 
+def odd_problem(layout):
+    return build_lindblad(
+        build_odd_parity_system(TWO_PI * 3.0, 0.0, TWO_PI * 0.36, TWO_PI * 0.36, layout),
+        DEVICE_NOISE,
+    )
+
+
+def full_rank(layout):
+    """A full-rank state; at d = 16 it occupies all nine charge gaps k = -4 ... 4."""
+    rng = np.random.default_rng(3)
+    d = layout.total_dim
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return DensityMatrix(layout, m @ m.conj().T / np.trace(m @ m.conj().T).real)
+
+
 @pytest.fixture
 def matrix_power_calls(monkeypatch):
     """Records each np.linalg.matrix_power call, one per interval propagator evolve forms."""
@@ -140,10 +155,10 @@ def dense_rk4_propagator(gen, h):
     return p
 
 
-def per_step_states(problem, rho0, grid):
+def per_step_states(problem, rho0, grid, step=None):
     """Reference for evolve: one dense RK4 propagator per step size, one product per step."""
     gen = liouvillian(problem)
-    step = default_step(problem)
+    step = default_step(problem) if step is None else step
     vec = rho0.entries.reshape(-1).astype(complex)
     states = [vec]
     propagators = {}
@@ -343,12 +358,12 @@ class TestEvolvePaths:
          0, (0, 1, 0), [3]),
         ({"kind": "time_domain", "resonator_dim": 4, "grid": {"t_max_us": 0.5, "dt_us": 0.25}},
          0, (0, 0, 2), []),
-        # sectors of 1, 28 and 70 entries, 100 to 125 intervals of 96 or 142 steps each
+        # sectors k >= 0 of 1, 28 and 70 entries, 100 to 125 intervals of 96 or 142 steps each
         ({"kind": "parity_switch", "fit_window_us": 8.0,
           "segments": [{"parity": "odd", "duration_us": 10.0},
                        {"parity": "even", "duration_us": 10.0},
                        {"parity": "odd", "duration_us": 12.5},
-                       {"parity": "even", "duration_us": 10.0}]}, 14, (14, 0, 0), []),
+                       {"parity": "even", "duration_us": 10.0}]}, 9, (9, 0, 0), []),
     ], ids=["default_d16", "two_intervals_d16", "two_intervals_d36", "two_intervals_d64",
             "parity_switch_d16"])
     def test_path_choice(self, matrix_power_calls, crossings, dense_squarings, config, powers,
@@ -358,27 +373,77 @@ class TestEvolvePaths:
         assert crossings() == dict(zip(("regrouped", "dense", "sparse"), counts))
         assert dense_squarings == squarings
 
+    # only the five sectors k >= 0 are crossed; k < 0 are their adjoints
     @pytest.mark.parametrize("grid, regrouped, counts", [
-        (np.linspace(0.0, 5.0, 21), 9, (9, 0, 0)),  # 20 intervals of 238 steps: every sector
+        (np.linspace(0.0, 5.0, 21), 5, (5, 0, 0)),  # 20 intervals of 238 steps: every sector
         # one interval of 476 steps: the sectors of 1, 8 and 28 entries regrouped, of 56 and
         # 70 in dense steps
-        ([0.0, 0.5], 6, (6, 3, 0)),
+        ([0.0, 0.5], 3, (3, 2, 0)),
         # one interval of 2 steps: the sectors of 56 and 70 entries in sparse steps
-        ([0.0, 0.002], 0, (0, 6, 3)),
+        ([0.0, 0.002], 0, (0, 3, 2)),
     ], ids=["regrouped", "regrouped_and_dense", "dense_and_sparse"])
     def test_several_sectors_match_per_step_products(self, matrix_power_calls, crossings, grid,
                                                      regrouped, counts):
         problem = even_problem(LAYOUT)
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        rho0 = DensityMatrix(LAYOUT, m @ m.conj().T / np.trace(m @ m.conj().T).real)
-        # a full-rank state occupies all nine charge gaps k = -4 ... 4
+        rho0 = full_rank(LAYOUT)
         assert np.unique(charge_gaps(problem)[rho0.entries.reshape(-1) != 0]).size == 9
         traj = evolve(problem, rho0, grid)
         assert len(matrix_power_calls) == regrouped
         assert crossings() == dict(zip(("regrouped", "dense", "sparse"), counts))
         for state, vec in zip(traj.states, per_step_states(problem, rho0, grid)):
             assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
+
+
+@pytest.fixture
+def block_crossings(monkeypatch):
+    """Records (rows, real block?, way) of each _crossing call, the way "regrouped" for
+    P_h^n, "dense" for dense steps or "sparse" for sparse steps."""
+    calls = []
+    real = stabsim.dynamics._crossing
+
+    def recording(gen, h, n, uses):
+        crossing = real(gen, h, n, uses)
+        calls.append((gen.shape[0], not np.iscomplexobj(gen.data),
+                      ("sparse", "regrouped", "dense")[len(crossing)]))
+        return crossing
+
+    monkeypatch.setattr(stabsim.dynamics, "_crossing", recording)
+    return calls
+
+
+class TestRealStepping:
+    """evolve steps the k = 0 sector as a real block in Hermitian coordinates, crosses the
+    other sectors only for k > 0 and writes each sector k < 0 as the adjoint of -k."""
+
+    # 100 intervals of 3 steps (P_h^n), one of 256 (dense steps) and one of 2 (sparse
+    # steps) on the k = 0 block at d = 16 and 36, all of one exact step h = 2^-11 us
+    STEP = 2.0 ** -11
+    GRID = STEP * np.cumsum([0] + [3] * 100 + [256, 2])
+
+    @pytest.mark.parametrize("layout, family, start, sizes", [
+        (LAYOUT, even_problem, ground, [70]),
+        (LAYOUT, odd_problem, ground, [70]),
+        (LAYOUT, even_problem, full_rank, [70, 56, 28, 8, 1]),
+        (LAYOUT, odd_problem, full_rank, [70, 56, 28, 8, 1]),
+        (LAYOUT_D36, even_problem, ground, [262]),
+        (LAYOUT_D36, odd_problem, ground, [262]),
+    ], ids=["even_d16", "odd_d16", "even_d16_nine_gaps", "odd_d16_nine_gaps", "even_d36",
+            "odd_d36"])
+    def test_each_crossing_of_the_real_block_matches_per_step_products(
+            self, block_crossings, layout, family, start, sizes):
+        problem, rho0 = family(layout), start(layout)
+        traj = evolve(problem, rho0, self.GRID, max_step=self.STEP)
+        # one call per block and key, where a start on all nine gaps k = -4 ... 4 has the
+        # five blocks k = 0 ... 4; the real k = 0 block takes each of the three ways
+        assert [rows for rows, _, _ in block_crossings] == sizes * 3
+        assert sorted(way for _, real, way in block_crossings if real) == [
+            "dense", "regrouped", "sparse"]
+        assert [real for _, real, _ in block_crossings] == ([True] + [False] * 4)[:len(sizes)] * 3
+        reference = per_step_states(problem, rho0, self.GRID, self.STEP)
+        for state, vec in zip(traj.states, reference):
+            assert np.max(np.abs(state.entries.reshape(-1) - vec)) < 1e-12
+        for state in traj.states[1:]:
+            assert np.array_equal(state.entries, state.entries.conj().T)
 
 
 def kron_liouvillian(problem):

@@ -155,6 +155,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(dict(override, kind=kind))
 
+    @pytest.mark.parametrize("grid", [{"t_max_us": 0.1, "dt_us": 0.25},
+                                      {"t_max_us": 1.0, "dt_us": 0.3}],
+                             ids=["dt_past_t_max", "t_max_between_samples"])
+    def test_time_domain_grid_must_end_on_t_max(self, grid, tmp_path, capsys):
+        # the last sample would lie before t_max, and final_fidelity would report it
+        cfg = {"kind": "time_domain", "grid": grid}
+        with pytest.raises(ConfigError, match="must be a whole multiple of grid.dt_us"):
+            validate_config(cfg)
+        path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(out_dir), "--workers", "1"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_time_domain_grid_within_rounding_of_a_multiple_accepted(self):
+        # 3 x 0.1 is 0.30000000000000004: the last of the four samples lies at t_max
+        result = run_scenario({"kind": "time_domain", "grid": {"t_max_us": 0.3, "dt_us": 0.1}})
+        assert [row[0] for row in result.rows] == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-15)
+
     def test_zero_ratio_and_whole_float_dim_accepted(self):
         cfg = validate_config({"kind": "rabi_dressed_map", "resonator_dim": 3.0,
                                "grid": {"delta_over_omega": [0.0], "a1_over_omega": [0]}})
