@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
@@ -95,9 +95,6 @@ SQUARE_S_PER_CUBE = 0.15e-9  # a dense square, per B^3
 
 # how far (us) a schedule grid time may pass a segment's end and still sample it
 BOUNDARY_TOL = 1e-12
-
-# a fitted parameter within FIT_BOUND_TOL (1 + |bound|) of a bound ends on it
-FIT_BOUND_TOL = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -697,7 +694,7 @@ def evolve_schedule(schedule: DriveSchedule, grid: Sequence[float]) -> Trajector
 
 
 class FitError(RuntimeError):
-    """Exponential fit did not converge."""
+    """The samples have no least-squares exponential with an interior time constant."""
 
 
 @dataclass(frozen=True)
@@ -711,34 +708,37 @@ class TimeConstantFit:
 def fit_time_constant(times, values) -> TimeConstantFit:
     """Least-squares fit of v(t) = v_inf + (v0 - v_inf) exp(-(t - t0)/tau).
 
-    The first and last samples are the initial guesses for v0 and v_inf.
-    Needs at least 5 samples.  A fit that does not converge, or that ends
-    with a parameter on its bound (tau at 1e-6 or 100 x the window span,
-    v0 or v_inf at +-2), raises :class:`FitError`.
+    By variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): v0 and v_inf are a linear fit for each tau, so the cost depends on
+    tau alone, and tau is the least-cost root where its closed-form derivative
+    turns from - to + on a log grid over [1e-6, 100 x span], refined by
+    ``brentq``.  Needs 5 samples.  Non-finite samples, times that do not strictly
+    increase, or no such root (a flat, straight or growing trace) raise FitError.
     """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+    t, v = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     if t.size != v.size:
         raise ValueError("times and values must have equal length")
     if t.size < 5:
         raise ValueError("need at least 5 samples after the switch to fit")
-    t0 = t[0]
+    if not (np.isfinite(t).all() and np.isfinite(v).all() and (np.diff(t) > 0).all()):
+        raise FitError("fit needs finite samples at strictly increasing times")
+    x, vc = t - t[0], v - v[0]
+    vc -= vc.mean()  # exactly zero for a constant trace
 
-    def model(tt, tau, v0, v_inf):
-        return v_inf + (v0 - v_inf) * np.exp(-(tt - t0) / tau)
+    def projected(tau):  # the cost, d cost / d tau times tau^2 q^2 / 2, e and its weight
+        e = np.exp(-x / tau)
+        ec, u = e - e.mean(axis=-1, keepdims=True), x * e  # u = tau^2 de/dtau
+        s, q, su, qu = (ec * vc).sum(-1), (ec * ec).sum(-1), (u * vc).sum(-1), (u * ec).sum(-1)
+        return vc @ vc - s * s / q, s * (s * qu - su * q), e, s / q
 
-    span = max(t[-1] - t0, 1e-9)
-    lower, upper = np.array([1e-6, -2.0, -2.0]), np.array([100.0 * span, 2.0, 2.0])
-    try:
-        popt, _ = curve_fit(model, t, v, p0=[span / 5.0, v[0], v[-1]],
-                            bounds=(lower, upper), maxfev=20000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"exponential fit failed: {exc}") from exc
-    # the bounds only keep the search finite: a fit that ends on one has no interior
-    # minimum, and its tau says where the bound lies, not how fast the trace moves
-    if any(np.isclose(popt, b, rtol=FIT_BOUND_TOL, atol=FIT_BOUND_TOL).any()
-           for b in (lower, upper)):
-        raise FitError(f"exponential fit ended on a parameter bound (tau, v0, v_inf = {popt})")
-    tau, v0, v_inf = (float(x) for x in popt)
-    residual = float(np.sqrt(np.mean((model(t, *popt) - v) ** 2)))
-    return TimeConstantFit(tau, v0, v_inf, residual)
+    grid = np.geomspace(1e-6, 100.0 * x[-1], 100)
+    slope = projected(grid[:, None])[1]  # one (grid, n) evaluation
+    turns = np.flatnonzero((slope[:-1] < 0) & (slope[1:] > 0))
+    if not turns.size:
+        raise FitError(f"the projected cost has no minimum for tau in [1e-6, {grid[-1]:g}]")
+    roots = [brentq(lambda r: projected(r)[1], grid[i], grid[i + 1], xtol=1e-300) for i in turns]
+    tau = min(roots, key=lambda root: projected(root)[0])
+    _, _, e, b = projected(tau)
+    v_inf = v.mean() - b * e.mean()
+    residual = float(np.sqrt(np.mean((v_inf + b * e - v) ** 2)))
+    return TimeConstantFit(float(tau), float(v_inf + b), float(v_inf), residual)

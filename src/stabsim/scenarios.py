@@ -375,7 +375,7 @@ def _fit_switches(cfg: dict, named: dict) -> dict:
     for seg, following in zip(segments, segments[1:]):
         t_switch += seg["duration_us"]
         mask = (times >= t_switch) & (times <= t_switch + min(window, following["duration_us"]))
-        if mask.sum() < 5:
+        if mask.sum() < 5 or following["parity"] == seg["parity"]:  # same parity: no switch
             continue
         try:
             fit = fit_time_constant(times[mask], parity[mask])

@@ -1056,15 +1056,30 @@ class TestFitTimeConstant:
         with pytest.raises(ValueError):
             fit_time_constant([0, 1, 2, 3], [1, 0.5, 0.25, 0.12])
 
-    def test_failed_fit_raises(self):
-        t = np.linspace(0.0, 1.0, 10)
-        v = np.full(10, np.nan)
+    @pytest.mark.parametrize("t,v", [
+        (np.linspace(0.0, 1.0, 10), np.full(10, np.nan)),
+        (np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.exp(-np.array([0.0, 1.0, 1.0, 2.0, 3.0]))),
+    ], ids=["nan_samples", "repeated_time"])
+    def test_failed_fit_raises(self, t, v):
         with pytest.raises(FitError):
             fit_time_constant(t, v)
 
-    def test_fit_ending_on_a_bound_raises(self):
-        # a straight line has no interior least-squares exponential: the fit
-        # runs v_inf onto its -2 bound and reports a tau of about 3.36
+    def test_fit_without_interior_minimum_raises(self):
+        # a straight line is the tau -> infinity limit of the model, so the projected
+        # cost falls all the way to 100 x the span and has no minimum in between
         t = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(FitError, match="bound"):
+        with pytest.raises(FitError, match="no minimum"):
             fit_time_constant(t, 0.7 - 0.7 * t)
+
+    @pytest.mark.parametrize("trace,tau", [
+        (lambda t: np.full_like(t, 0.3), None),  # flat: every tau fits equally well
+        (lambda t: 5.0 * np.exp(-t), 1.0),  # v0 = 5: v0 and v_inf are unbounded
+        (lambda t: np.exp(t / 2.0), None),  # growing: no decay time fits it
+    ], ids=["constant", "five_exp", "growing"])
+    def test_flat_scaled_and_growing_traces(self, trace, tau):
+        t = np.linspace(0.0, 5.0, 51)
+        if tau is None:
+            with pytest.raises(FitError, match="no minimum"):
+                fit_time_constant(t, trace(t))
+        else:
+            assert fit_time_constant(t, trace(t)).tau == pytest.approx(tau, abs=1e-10)

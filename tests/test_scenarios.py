@@ -13,6 +13,7 @@ from stabsim import cli, scenarios
 from stabsim.builders import plan_stabilization
 from stabsim.calibration import load_device_table
 from stabsim.cli import main
+from stabsim.dynamics import fit_time_constant
 from stabsim.scenarios import (
     FAMILY_DRIVES,
     MEASURED_NOISE,
@@ -254,18 +255,53 @@ class TestRunScenario:
         assert len(fits) == 1 and fits[0]["to_parity"] == "odd"
 
     def test_switch_fit_reports_configured_parity(self):
-        # 0.05 us of even drive leaves the parity near +1 through the whole fit window
+        # 0.05 us of even drive leaves the parity near +1 at the switch; a 2 us window
+        # holds enough of the fall to odd for an interior time constant (about 6.9 us)
         cfg = {
             "kind": "parity_switch",
-            "fit_window_us": 0.5,
+            "fit_window_us": 2.0,
             "grid": {"dt_us": 0.1},
             "segments": [
                 {"parity": "even", "duration_us": 0.05},
-                {"parity": "odd", "duration_us": 1.0},
+                {"parity": "odd", "duration_us": 3.0},
             ],
         }
         fits = run_scenario(cfg).summary["switch_fits"]
         assert [fit["to_parity"] for fit in fits] == ["odd"]
+
+    def test_default_switch_fits_sit_at_the_least_squares_minimum(self):
+        result = run_scenario({"kind": "parity_switch"})
+        times = np.asarray(result.column("t_us"))
+        parity = np.asarray(result.column("parity"))
+        fits = result.summary["switch_fits"]
+        assert [fit["switch_t_us"] for fit in fits] == [20.0, 40.0, 60.0]
+        rng = np.random.default_rng(0)
+        for fit, tau in zip(fits, [1.149652835946, 0.839854911033, 1.149652835946]):
+            assert fit["tau_us"] == pytest.approx(tau, abs=1e-10)
+            window = (times >= fit["switch_t_us"]) & (times <= fit["switch_t_us"] + 12.0)
+            t, v = times[window], parity[window]
+            # tau is a root of the cost's derivative, so a 1e-14 kick moves it by rounding
+            kicked = fit_time_constant(t, v + 1e-14 * rng.standard_normal(v.size))
+            assert abs(kicked.tau - fit["tau_us"]) <= 1e-12
+
+            def cost(tau):  # v0 and v_inf by an independent linear least-squares fit
+                basis = np.column_stack([np.ones_like(t), np.exp(-(t - t[0]) / tau)])
+                return np.linalg.lstsq(basis, v, rcond=None)[1][0]
+
+            nearby = min(cost(fit["tau_us"] * (1.0 - 1e-6)), cost(fit["tau_us"] * (1.0 + 1e-6)))
+            assert nearby >= cost(fit["tau_us"])
+
+    def test_boundary_between_equal_parities_is_not_fitted(self):
+        # the even state is already stabilized at 20 us: after the boundary the parity
+        # drifts by about 6e-11, which is no switch and has no time constant to report
+        cfg = {
+            "kind": "parity_switch",
+            "segments": [
+                {"parity": "even", "duration_us": 20.0},
+                {"parity": "even", "duration_us": 20.0},
+            ],
+        }
+        assert run_scenario(cfg).summary["switch_fits"] == []
 
     @pytest.mark.parametrize("odd_us,tau_us", [(4.0, 1.5403), (3.0, 2.1873)])
     def test_switch_fit_window_ends_at_the_next_switch(self, odd_us, tau_us):
@@ -288,9 +324,9 @@ class TestRunScenario:
         assert fits[0]["tau_us"] == pytest.approx(tau_us, abs=1e-4)
         assert fits[0]["residual"] < 0.1
 
-    def test_switch_fit_on_a_bound_is_left_out(self):
+    def test_switch_fit_without_interior_minimum_is_left_out(self):
         # over 1 us after the switch the parity trace is nearly straight, and its
-        # only least-squares exponential has v_inf on the -2 bound
+        # projected least-squares cost falls on to tau near 1e4 us, past 100 x the window
         cfg = {
             "kind": "parity_switch",
             "grid": {"dt_us": 0.1},
