@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -116,8 +116,32 @@ class LindbladProblem:
         return self.hamiltonian.layout
 
 
+class EmbeddedOperators(NamedTuple):
+    """What the builders read on one layout, read-only: the embedded ladder
+    operator a_s of each subsystem and the number operator n_q of each qubit.
+    A builder takes a set in place of a layout, so its holder embeds them once."""
+
+    layout: SpaceLayout
+    ladder: dict
+    number: dict
+
+
+Space = Union[SpaceLayout, EmbeddedOperators]  # a layout, or the operator set of one
+
+
+def embedded_operators(layout: Optional[Space]) -> EmbeddedOperators:
+    """The :class:`EmbeddedOperators` of `layout` (of the default layout for
+    None), or `layout` itself when it already is a set."""
+    if isinstance(layout, EmbeddedOperators):
+        return layout
+    layout = layout or SpaceLayout()
+    ladder = {s: annihilation(layout, s).entries for s in layout.labels}
+    return EmbeddedOperators(layout, ladder,
+                             {s: number_op(layout, s).entries for s in ladder if s[0] == "q"})
+
+
 def assemble(
-    hqq: ComplexOperator, qr1: SidebandDrive, qr2: SidebandDrive, layout: SpaceLayout
+    hqq: ComplexOperator, qr1: SidebandDrive, qr2: SidebandDrive, layout: Space
 ) -> ComplexOperator:
     """Full-system Hamiltonian: a two-qubit block plus one sideband per pair.
 
@@ -127,16 +151,16 @@ def assemble(
     (:func:`stabsim.targets.sideband`), and each resonator's photon energy
     taken from its sideband detuning.
     """
-    res_dim = layout.total_dim // 4
-    a = {label: annihilation(layout, label).entries for label in ("q1", "q2", "r1", "r2")}
-    h = np.kron(hqq.entries, np.eye(res_dim, dtype=complex))
+    ops = embedded_operators(layout)
+    a = ops.ladder
+    h = np.kron(hqq.entries, np.eye(ops.layout.total_dim // 4, dtype=complex))
     for aq, ar, drive in ((a["q1"], a["r1"], qr1), (a["q2"], a["r2"], qr2)):
         h += (drive.rate / 2.0) * sideband(aq, ar, drive.color)
     h += (
         qr1.detuning * (a["r1"].conj().T @ a["r1"])
         + qr2.detuning * (a["r2"].conj().T @ a["r2"])
     )
-    return ComplexOperator(layout, h)
+    return ComplexOperator(ops.layout, h)
 
 
 class Recipe(NamedTuple):
@@ -157,7 +181,7 @@ RECIPES = {
 
 
 def _sideband_recipe(
-    name: str, omega: float, delta: float, w1: float, w2: float, layout: Optional[SpaceLayout]
+    name: str, omega: float, delta: float, w1: float, w2: float, layout: Optional[Space]
 ) -> ComplexOperator:
     """A named recipe: the qubit-qubit sideband at Omega with detuning delta
     on q1, and resonator detunings sign*(Delta +- delta)/2."""
@@ -168,12 +192,12 @@ def _sideband_recipe(
         hqq,
         SidebandDrive(c1, w1, sign * (big_delta + delta) / 2.0),
         SidebandDrive(c2, w2, sign * (big_delta - delta) / 2.0),
-        layout or SpaceLayout(),
+        layout,
     )
 
 
 def build_even_parity_system(
-    omega: float, delta: float, w1: float, w2: float, layout: Optional[SpaceLayout] = None
+    omega: float, delta: float, w1: float, w2: float, layout: Optional[Space] = None
 ) -> ComplexOperator:
     """Pair-pumping stabilization Hamiltonian for the (gg, ee) blending family.
 
@@ -185,7 +209,7 @@ def build_even_parity_system(
 
 
 def build_odd_parity_system(
-    omega: float, delta: float, w3: float, w4: float, layout: Optional[SpaceLayout] = None
+    omega: float, delta: float, w3: float, w4: float, layout: Optional[Space] = None
 ) -> ComplexOperator:
     """Exchange-pumping Hamiltonian for the (ge, eg) blending family.
 
@@ -203,7 +227,7 @@ def build_color_variant(
     w1: float,
     w2: float,
     variant: str,
-    layout: Optional[SpaceLayout] = None,
+    layout: Optional[Space] = None,
 ) -> ComplexOperator:
     """The system of any recipe named in :data:`RECIPES`.
 
@@ -305,24 +329,29 @@ def plan_stabilization(
     )
 
 
-def build_from_plan(plan: StabilizationPlan, layout: Optional[SpaceLayout] = None) -> ComplexOperator:
+def build_from_plan(plan: StabilizationPlan, layout: Optional[Space] = None) -> ComplexOperator:
     """Assemble the full-system Hamiltonian described by a stabilization plan."""
-    return assemble(plan.hqq, plan.qr1, plan.qr2, layout or SpaceLayout())
+    return assemble(plan.hqq, plan.qr1, plan.qr2, layout)
 
 
-def build_lindblad(h: ComplexOperator, noise: NoiseSpec) -> LindbladProblem:
+def build_lindblad(
+    h: ComplexOperator, noise: NoiseSpec, ops: Optional[EmbeddedOperators] = None
+) -> LindbladProblem:
     """Attach decay and dephasing collapse operators to a Hamiltonian.
 
     Collapse operators: sqrt(kappa_j) a_rj for each resonator present,
-    sqrt(1/T1_qj) a_qj and sqrt(2/Tphi_qj) n_qj for each qubit present.
-    A pure-dephasing operator normalized this way makes a lone qubit's
-    coherence decay at exactly 1/Tphi.
+    sqrt(1/T1_qj) a_qj and sqrt(2/Tphi_qj) n_qj for each qubit present, from
+    `ops`, the :class:`EmbeddedOperators` of h's layout (embedded here for
+    None).  A pure-dephasing operator normalized this way makes a lone
+    qubit's coherence decay at exactly 1/Tphi.
     """
-    layout = h.layout
-    ops = []
+    layout, ops = h.layout, embedded_operators(ops or h.layout)
+    if ops.layout != layout:
+        raise ValueError("the embedded operators belong to another layout")
+    collapse = []
     for label, rate in (("r1", noise.kappa1), ("r2", noise.kappa2)):
         if label in layout.labels:
-            ops.append(math.sqrt(rate) * annihilation(layout, label).entries)
+            collapse.append(math.sqrt(rate) * ops.ladder[label])
     for label, t1, tphi in (
         ("q1", noise.t1_q1, noise.tphi_q1),
         ("q2", noise.t1_q2, noise.tphi_q2),
@@ -330,7 +359,7 @@ def build_lindblad(h: ComplexOperator, noise: NoiseSpec) -> LindbladProblem:
         if label not in layout.labels:
             continue
         if math.isfinite(t1):
-            ops.append(math.sqrt(1.0 / t1) * annihilation(layout, label).entries)
+            collapse.append(math.sqrt(1.0 / t1) * ops.ladder[label])
         if math.isfinite(tphi):
-            ops.append(math.sqrt(2.0 / tphi) * number_op(layout, label).entries)
-    return LindbladProblem(h, tuple(ComplexOperator(layout, op) for op in ops))
+            collapse.append(math.sqrt(2.0 / tphi) * ops.number[label])
+    return LindbladProblem(h, tuple(ComplexOperator(layout, op) for op in collapse))

@@ -57,7 +57,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_show_config(args) -> int:
-    print(json.dumps(default_config(args.kind), indent=2, sort_keys=True))
+    cfg = default_config(args.kind)
+    if KINDS[args.kind].drives_from_family:  # a copy with another family runs its drives
+        del cfg["drives"]
+    print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0
 
 

@@ -6,33 +6,25 @@ The master equation
 
 is vectorized row-major in effective-Hamiltonian form, -i (H_eff (x) I -
 I (x) conj(H_eff)) + sum_k L_k (x) conj(L_k) with H_eff = H - (i/2) sum_k
-L_k^dag L_k, each term scattered only onto its nonzero entries.  When H
-commutes with a charge C = sum_s c_s n_s and every L_k shifts C by a fixed
-amount (a weak U(1) symmetry), the generator is block-diagonal in the
-charge gap k = C(i) - C(j) of a matrix entry rho_ij, so steady states are
-solved and states evolved one sector at a time; a problem without such a
-charge has one sector, the whole space.  The generator maps Hermitian
-matrices to Hermitian matrices, so in the orthonormal coordinates x_ii =
-rho_ii, a_ij = sqrt2 Re rho_ij, b_ij = sqrt2 Im rho_ij (i < j) of the k = 0
-sector its block is a real matrix, and sector -k is the adjoint of sector
-k.  Evolution is fixed-step classical 4th-order Runge-Kutta; for this
-linear, time-independent generator the RK4 update is exactly the degree-4
-truncated exponential P_h.  It steps the k = 0 sector as that real block
-and only the sectors k > 0 besides, and writes each k < 0 as an adjoint,
-so every evolved state is Hermitian by construction.  A grid interval of
-n steps is crossed in one of three ways: by one precomputed product P_h^n;
-by dense steps, floor(n / 2^J) products with Q = P_h^(2^J) and n mod 2^J
-with P_h; or by n Horner-form steps of four sparse products with the
-generator.  One cost model, fitted to measured timings, prices all three
-and picks the cheapest.  A steady state solves the k = 0 block with its
-first row replaced by the trace functional, through one LU factorization,
-the only size-dependent step: a dense real one in the Hermitian
-coordinates for blocks of up to ``DENSE_STEADY_ROWS`` rows, a sparse
-complex one above.  The same factor gives the conditioning estimate that
-rejects a kernel that is not one-dimensional; the state is Hermitian by
-construction.  Everything but the generator's values is built once per
-layout and nonzero pattern of the operators, and a sweep's points of one
-pattern only refill the values in place.
+L_k^dag L_k; each block of it is one fixed scatter of the terms' nonzero
+values (:class:`_Scatter`).  When H commutes with a charge C = sum_s c_s
+n_s and every L_k shifts C by a fixed amount (a weak U(1) symmetry), the
+generator is block-diagonal in the charge gap k = C(i) - C(j) of a matrix
+entry rho_ij, so states are solved and evolved one sector at a time
+(without such a charge, the whole space is one sector).  The generator
+maps Hermitian matrices to Hermitian matrices, so sector -k is the adjoint
+of sector k, and the k = 0 block is real in the orthonormal coordinates
+x_ii = rho_ii, a_ij = sqrt2 Re rho_ij, b_ij = sqrt2 Im rho_ij (i < j).
+Evolution is fixed-step RK4, exactly the degree-4 truncated exponential
+P_h of this linear generator, on the real k = 0 block and the sectors
+k > 0, with each k < 0 written as an adjoint, so every evolved state is
+Hermitian by construction (:func:`evolve`).  A steady state solves the
+trace-bordered k = 0 block by one LU, dense and real up to
+``DENSE_STEADY_ROWS`` rows and sparse and complex above, whose factor also
+gives the conditioning estimate that rejects a kernel that is not
+one-dimensional (:func:`steady_state`).  Everything but the generator's
+values is built once per layout and nonzero pattern of the operators, and
+a sweep's points of one pattern only scatter their values.
 """
 
 from __future__ import annotations
@@ -48,7 +40,8 @@ from scipy.optimize import brentq
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
-from .builders import RECIPES, LindbladProblem, NoiseSpec, build_color_variant, build_lindblad
+from .builders import (RECIPES, LindbladProblem, NoiseSpec, build_color_variant, build_lindblad,
+                       embedded_operators)
 from .hilbert import DensityMatrix, SpaceLayout, StateError, partial_trace
 from .targets import StabilizationTarget, fidelity as state_fidelity, parity_signature, purity
 
@@ -66,8 +59,8 @@ CONDITION_STEPS = 4
 # k = 0 blocks of up to this many rows are solved by a dense real LU (LAPACK
 # dgetrf), larger ones by a sparse complex LU (SuperLU).  Per whole
 # steady_state call with a known pattern (best of 5 rounds, one BLAS thread,
-# 2-core x86-64) the dense path took 0.59x the sparse one's time at B = 70,
-# 0.62x at 262, 0.90x at 404, 1.08x at 548 and 1.38x at 646.
+# 2-core x86-64) the dense path took 0.43x the sparse one's time at B = 70,
+# 0.49x at 262, 0.65x at 404 and 1.08x at 646 (even-parity Bell points).
 DENSE_STEADY_ROWS = 500
 
 # Cost model that picks how an interval key is crossed, in
@@ -146,28 +139,28 @@ def charge_gaps(problem: LindbladProblem) -> np.ndarray:
     return (charge[:, None] - charge[None, :]).reshape(-1)
 
 
-def _term_entries(nonzeros: list, d: int, rows: np.ndarray, cols: np.ndarray) -> list:
-    """(rows, cols, mask) of the entries inside the block of `rows` and
-    `cols`, each distinct row-major indices i d + j, of each generator term
-    X (x) Y: -i H_eff (x) I, I (x) i conj(H_eff), then L (x) conj(L) per
-    collapse operator, each over its factors' `nonzeros` (H_eff's, then each
-    L's).  No term writes an entry twice.  The mask picks the entries' values
-    from the grids of :func:`_term_values`."""
+def _term_entries(nonzeros: list, d: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """(rows, cols, source) of the generator entries inside the block of `rows`
+    and `cols` (distinct row-major indices): where each sits in the block and
+    among the values of :func:`_term_values`, term by term X (x) Y: -i H_eff (x)
+    I, I (x) i conj(H_eff), then L (x) conj(L) per collapse operator, over its
+    factors' `nonzeros` (H_eff's, then each L's).  No term writes an entry twice."""
     row_at, col_at = np.full((2, d * d), -1)  # row-major index -> row, column in the block or -1
     row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
     eye, h = (np.arange(d),) * 2, nonzeros[0]
     pairs = [(h, eye), (eye, h)] + [(nz, nz) for nz in nonzeros[1:]]
-    entries = []
+    entries, start = [], 0
     for (rx, cx), (ry, cy) in pairs:  # <i j|X (x) Y|k l> = X[i, k] Y[j, l]
         r, c = row_at[d * rx[:, None] + ry], col_at[d * cx[:, None] + cy]
         inside = (r >= 0) & (c >= 0)
-        entries.append((r[inside], c[inside], inside))
-    return entries
+        entries.append((r[inside], c[inside], start + np.flatnonzero(inside)))
+        start += inside.size
+    return tuple(np.concatenate(part) for part in zip(*entries))
 
 
 def _term_values(problem: LindbladProblem) -> tuple:
     """H_eff = H - (i/2) sum_k L_k^dag L_k, the nonzeros of H_eff and of each
-    L_k, and the value grid of each term, masked as :func:`_term_entries` says."""
+    L_k, and each term's value grid, flattened in turn (:func:`_term_entries`)."""
     h_eff = problem.hamiltonian.entries.astype(complex)
     for op in problem.collapse_ops:
         h_eff -= 0.5j * (op.entries.conj().T @ op.entries)
@@ -178,21 +171,71 @@ def _term_values(problem: LindbladProblem) -> tuple:
     for op, nonzero in zip(problem.collapse_ops, nonzeros[1:]):
         v = op.entries[nonzero]
         grids.append(v[:, None] * v.conj())
-    return h_eff, nonzeros, grids
+    return h_eff, nonzeros, np.concatenate([grid.reshape(-1) for grid in grids])
 
 
-def liouvillian(problem: LindbladProblem, sector: Optional[np.ndarray] = None) -> np.ndarray:
+class _Scatter:
+    """A fixed linear map from the term values of :func:`_term_values` to the
+    entries of a block, flattened in memory order: value `source` is added to
+    entry `dest`, in the given order.  With `factor`, the values are read as
+    floats (Re, Im) and scaled, and the block is real."""
+
+    def __init__(self, source: np.ndarray, dest: np.ndarray, factor: Optional[np.ndarray] = None):
+        self.source, self.dest, self.factor = source, dest, factor
+
+    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.factor is None:
+            np.add.at(out, self.dest, values[self.source])
+        else:
+            np.add.at(out, self.dest, self.factor * values.view(float)[self.source])
+        return out
+
+
+def _real_scatter(nonzeros: list, d: int, index: tuple, first: int = 0) -> _Scatter:
+    """The :class:`_Scatter` into a Fortran-ordered U^H L U: the real block of
+    the k = 0 sector of (ii, ij, ji) `index` in its coordinates (x, a, b), U
+    the unitary from (x, a, b) to (rho_ii, rho_ij, rho_ji); rows before `first`
+    get no terms.  Row ji of L U is the conjugate of row ij, so only L's rows
+    ii and ij are read: an entry v of row ii adds Re v to row x_i, one of row
+    ij sqrt2 Re v to row a_ij and sqrt2 Im v to row b_ij.  Column kk of L is
+    column x_k of L U, and columns kl and lk (k < l) both feed a_kl and b_kl,
+    by 1/sqrt2 and +-i/sqrt2: each value lands on up to four real entries,
+    columns kl and lk on the same ones, with factors 1 for (ii, kk) and (ij,
+    kl or lk), sqrt2 for (ij, kk) and 1/sqrt2 for (ii, kl or lk), and signs."""
+    pairs, order = len(index[1]), np.concatenate(index)
+    r, c, s = _term_entries(nonzeros, d, order[first:d + pairs], order)
+    r, lk = r + first, c >= d + pairs
+    off_row, off_col = r >= d, c >= d
+    col, sign = c - pairs * lk, 1.0 - 2.0 * lk  # x_k or a_kl (for kl and lk); b_kl's sign
+    f = np.where(off_row == off_col, 1.0, np.where(off_row, math.sqrt(2.0), math.sqrt(0.5)))
+    # from Re v, Im v, Im v, Re v: (x_i or a_ij, x_k or a_kl), (b_ij, .), (., b_kl), (b_ij, b_kl)
+    rows = np.concatenate([r, r + pairs, r, r + pairs])
+    cols = np.concatenate([col, col, col + pairs, col + pairs])
+    keep = np.concatenate([np.ones(len(r), dtype=bool), off_row, off_col, off_row & off_col])
+    source = np.concatenate([2 * s, 2 * s + 1, 2 * s + 1, 2 * s])
+    factor = np.concatenate([f, f, -sign * f, sign * f])
+    return _Scatter(source[keep], (cols * len(order) + rows)[keep], factor[keep])
+
+
+def liouvillian(problem: LindbladProblem, sector: Optional[np.ndarray] = None,
+                hermitian: Optional[tuple] = None) -> np.ndarray:
     """Dense H_eff-form generator acting on row-major vectorized density matrices.
 
     With `sector`, an array of distinct row-major indices i d + j, only the
     block of those rows and columns is scattered and returned, in that order.
+    With `hermitian`, the (ii, ij, ji) index of a k = 0 sector, only that
+    sector's real block in the coordinates (x, a, b) is, Fortran-ordered.
     """
-    h_eff, nonzeros, grids = _term_values(problem)
-    sector = np.arange(h_eff.size) if sector is None else sector
+    h_eff, nonzeros, values = _term_values(problem)
+    d = len(h_eff)
+    if hermitian is not None:
+        block = np.zeros((len(np.concatenate(hermitian)),) * 2, order="F")
+        _real_scatter(nonzeros, d, hermitian)(values, block.reshape(-1, order="F"))
+        return block
+    sector = np.arange(d * d) if sector is None else sector
+    rows, cols, source = _term_entries(nonzeros, d, sector, sector)
     gen = np.zeros((len(sector), len(sector)), dtype=complex)
-    for (rows, cols, inside), grid in zip(_term_entries(nonzeros, len(h_eff), sector, sector),
-                                          grids):
-        gen[rows, cols] += grid[inside]
+    _Scatter(source, rows * len(sector) + cols)(values, gen.reshape(-1))
     return gen
 
 
@@ -309,23 +352,20 @@ def evolve(
     size h so grid points are hit exactly.  Intervals share a key when they
     take the same n and their h / step agree to 12 digits, and all take the
     first one's h.  The state is split by charge gap k.  The k = 0 sector
-    is evolved as the real block of :func:`_real_block`, in the coordinates
-    x_ii = rho_ii, a_ij = sqrt2 Re rho_ij, b_ij = sqrt2 Im rho_ij, and of
-    the other sectors only each k > 0 whose k or -k `rho0` occupies, on its
-    own complex block; sector -k is the adjoint of sector k, so every
-    sample after the first is Hermitian by construction.  The u intervals
-    of a key cross a block of B rows in whichever of three ways the cost
-    model of ``SPARSE_STEP_S`` and the constants after it, from B, the
-    block's stored entries, u and n, charges least: P_h^n formed once and
-    applied once per interval; dense steps, with P_h squared J times to
-    Q = P_h^(2^J), then floor(n / 2^J) products with Q and n mod 2^J with
-    P_h per interval; or n Horner-form steps on the sparse block.
-    Each sample is written into one (n, d, d) array, and after stepping the
-    whole array is checked once (:meth:`DensityMatrix.stack`) and, with a
-    target, reduced to the qubits by one :func:`partial_trace` call.  A
-    sample outside the trace or positivity tolerances raises
-    :class:`IntegrationError` naming the first such sample's time, rather
-    than passing silently.
+    is evolved as its real block in the coordinates (x, a, b)
+    (:func:`liouvillian` with `hermitian`), and of the other sectors only
+    each k > 0 whose k or -k `rho0` occupies, on its own complex block;
+    sector -k is the adjoint of sector k, so every sample after the first
+    is Hermitian by construction.  The intervals of one key cross a block
+    in whichever way the cost model of ``SPARSE_STEP_S`` and the constants
+    after it charges least (:func:`_crossing`): P_h^n formed once; dense
+    steps, floor(n / 2^J) products with P_h^(2^J) and n mod 2^J with P_h;
+    or n Horner-form steps on the sparse block.  Each sample is written into
+    one (n, d, d) array, and after stepping the whole array is checked once
+    (:meth:`DensityMatrix.stack`) and, with a target, reduced to the qubits
+    by one :func:`partial_trace` call.  A sample outside the trace or
+    positivity tolerances raises :class:`IntegrationError` naming the first
+    such sample's time, rather than passing silently.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
@@ -341,10 +381,8 @@ def evolve(
     flat = samples.reshape(grid.size, d * d)  # a view: row i is sample i, row-major
     gaps = charge_gaps(problem)
     index = _hermitian_index(gaps, d)
-    order = np.concatenate(index)
     sectors = [np.flatnonzero(gaps == k) for k in np.unique(np.abs(gaps[flat[0] != 0])) if k > 0]
-    gens = [csr_array(_real_block(liouvillian(problem, order)[:d + len(index[1])], d,
-                                  np.empty((len(order),) * 2)))]
+    gens = [csr_array(liouvillian(problem, hermitian=index))]
     gens += [csr_array(liouvillian(problem, sector)) for sector in sectors]
     off = flat[0, index[1]] * math.sqrt(2.0)
     parts = [np.concatenate([flat[0, index[0]].real, off.real, off.imag])]  # (x, a, b)
@@ -436,7 +474,7 @@ def _inverse_condition(mat) -> tuple:
 def _hermitian_index(gaps: np.ndarray, d: int) -> tuple:
     """Row-major indices (ii, ij, ji) of the k = 0 sector of `gaps`: its `d`
     entries rho_ii, its entries rho_ij (i < j), then the rho_ji of the same
-    pairs, the order of :func:`_real_block`."""
+    pairs, the order of :func:`_real_scatter`."""
     i, j = np.nonzero(np.triu((gaps == 0).reshape(d, d), 1))
     return np.arange(0, d * d, d + 1), i * d + j, j * d + i
 
@@ -455,81 +493,42 @@ def _from_coordinates(coords: np.ndarray, index: tuple, out: np.ndarray) -> np.n
     return out
 
 
-def _real_block(top: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """U^H L U of the k = 0 block L in real Hermitian coordinates, into `out`,
-    from `top`, L's rows ii and ij.
-
-    L's rows and columns are in the order (ii, ij, ji): the sector's `d`
-    entries rho_ii, then its entries rho_ij (i < j), then the rho_ji of the
-    same pairs.  The coordinates are x_i = rho_ii, then a_ij = sqrt2 Re
-    rho_ij, then b_ij = sqrt2 Im rho_ij: an orthonormal basis of the
-    sector's Hermitian matrices, so with U the unitary from (x, a, b) to
-    (rho_ii, rho_ij, rho_ji) the block U^H L U has the singular values of L.
-    L maps Hermitian matrices to Hermitian matrices, so U^H L U is real, and
-    row ji of L U is the conjugate of row ij: row x_i of U^H L U is row ii
-    of L U, and the rows of a_ij and b_ij are sqrt2 Re and sqrt2 Im of row
-    ij.  Every part of U^H L U is thus a slice of L's rows ii and ij.  A row
-    ii replaced by a functional of the rho_ii, such as the trace, stays that
-    functional of the x_i.
-    """
-    m = len(top)
-    ij, ji = top[:, d:m], top[:, m:]
-    out[:m, :d] = top[:, :d].real
-    out[m:, :d] = top[d:, :d].imag
-    # sqrt2 times the a columns of L U are ij + ji, -i sqrt2 times the b columns ij - ji
-    np.add(ij.real, ji.real, out=out[:m, d:m])
-    np.add(ij[d:].imag, ji[d:].imag, out=out[m:, d:m])
-    np.subtract(ij.imag, ji.imag, out=out[:m, m:])
-    np.negative(out[:m, m:], out=out[:m, m:])
-    np.subtract(ij[d:].real, ji[d:].real, out=out[m:, m:])
-    out[d:, :d] *= math.sqrt(2.0)
-    out[:d, d:] /= math.sqrt(2.0)
-    return out
-
-
 class _Pattern:
-    """What steady solves with one layout and one nonzero pattern of H, H_eff
-    and each L_k share: the k = 0 index sets and order, where each term goes
-    among the stored values of the trace-bordered block, and that block.  A
-    dense one is kept as complex rows ii and ij (`top`) and the real block
-    that :func:`_real_block` fills and the LU overwrites, both shared by the
-    dense patterns of one shape in a `patterns` dict; a sparse one as CSC."""
+    """What steady solves with one layout and one nonzero pattern of H, H_eff and
+    each L_k share: the k = 0 index sets and order, the trace-bordered block, its
+    row 0's trace entries and the :class:`_Scatter` of the terms into its rows
+    after row 0.  A dense block is real, one array for the dense patterns of one
+    shape in a `patterns` dict; a sparse one is complex CSC."""
 
     def __init__(self, problem: LindbladProblem, nonzeros: list, patterns: dict):
         d = problem.layout.total_dim
         gaps = charge_gaps(problem)
         self.index = _hermitian_index(gaps, d)
-        pairs = len(self.index[1])
-        size = d + 2 * pairs
+        size = d + 2 * len(self.index[1])
         self.dense = size <= DENSE_STEADY_ROWS
         self.order = np.concatenate(self.index) if self.dense else np.flatnonzero(gaps == 0)
-        trace = np.flatnonzero(self.order % (d + 1) == 0)  # each rho_ii sits at i (d + 1)
-        height = d + pairs if self.dense else size  # _real_block reads no row ji
-        entries = _term_entries(nonzeros, d, self.order[1:height], self.order)  # row 0: trace
-        self.masks = [inside for _, _, inside in entries]
-        if self.dense:  # patterns of one shape share this storage, so a fill clears it all
-            twins = [p for p in patterns.values() if p.dense and p.top.shape == (height, size)]
-            self.top = twins[0].top if twins else np.zeros((height, size), dtype=complex)
-            self.real = twins[0].real if twins else np.empty((size, size), order="F")
-            self.top[0, trace] = 1.0
-            self.values, self.filled = self.top.reshape(-1), slice(size, None)
-            self.slots = [(rows + 1) * size + cols for rows, cols, _ in entries]
-        else:
-            keys = [cols * size + rows + 1 for rows, cols, _ in entries]  # column-major, as CSC
-            stored = np.unique(np.concatenate(keys + [trace * size]))
-            self.block = csc_array((np.zeros(len(stored), dtype=complex), stored % size,
-                                    np.searchsorted(stored, np.arange(size + 1) * size)),
-                                   shape=(size, size))
-            self.values = self.block.data
-            self.values[np.searchsorted(stored, trace * size)] = 1.0
-            self.slots = [np.searchsorted(stored, key) for key in keys]
-            self.filled = np.unique(np.concatenate(self.slots))
+        trace = np.flatnonzero(self.order % (d + 1) == 0) * size  # each rho_ii sits at i (d + 1)
+        if self.dense:
+            self.scatter, self.trace = _real_scatter(nonzeros, d, self.index, first=1), trace
+            twins = [p for p in patterns.values() if p.dense and p.block.shape == (size, size)]
+            self.block = twins[0].block if twins else np.empty((size, size), order="F")
+            return
+        rows, cols, source = _term_entries(nonzeros, d, self.order[1:], self.order)
+        keys = cols * size + rows + 1  # column-major, as CSC
+        stored = np.unique(np.concatenate([keys, trace]))
+        self.block = csc_array((np.zeros(len(stored), dtype=complex), stored % size,
+                                np.searchsorted(stored, np.arange(size + 1) * size)),
+                               shape=(size, size))
+        self.scatter = _Scatter(source, np.searchsorted(stored, keys))
+        self.trace = np.searchsorted(stored, trace)
 
-    def fill(self, grids: list):
-        """Write a generator from its terms' value grids, added in :func:`liouvillian`'s order."""
-        self.values[self.filled] = 0.0
-        for slots, inside, grid in zip(self.slots, self.masks, grids):
-            self.values[slots] += grid[inside]
+    def fill(self, values: np.ndarray):
+        """Write a generator's term values (:func:`_term_values`) into the block."""
+        target = self.block.reshape(-1, order="F") if self.dense else self.block.data
+        target[:] = 0.0  # what the last fill or LU left
+        target[self.trace] = 1.0  # row 0: the trace functional
+        self.scatter(values, target)
+        return self.block
 
 
 def steady_state(problem: LindbladProblem, patterns: Optional[dict] = None) -> DensityMatrix:
@@ -541,10 +540,10 @@ def steady_state(problem: LindbladProblem, patterns: Optional[dict] = None) -> D
     because the generator preserves the trace) is replaced by the trace
     functional, and the block is solved for unit trace.  Only the factoring
     depends on the size: a block of up to ``DENSE_STEADY_ROWS`` rows is
-    written in real Hermitian coordinates (:func:`_real_block`, with the
-    same singular values) and factored in place by a dense LAPACK LU, a
-    larger one by a sparse complex LU in ascending row-major order, which
-    SuperLU factors faster.  An exactly singular factor, or an estimated
+    scattered straight into real Hermitian coordinates (:func:`_real_scatter`,
+    with the same singular values) and factored in place by a dense LAPACK
+    LU, a larger one by a sparse complex LU in ascending row-major order,
+    which SuperLU factors faster.  An exactly singular factor, or an estimated
     sigma_min/sigma_max of the bordered block below ``KERNEL_TOL``, signals
     a kernel that is not one-dimensional and raises
     :class:`DegenerateSteadyStateError`.  rho is assembled from its diagonal
@@ -578,13 +577,12 @@ def steady_state(problem: LindbladProblem, patterns: Optional[dict] = None) -> D
     identity it gives a two-dimensional k = 0 kernel, a contradiction.
     """
     d = problem.layout.total_dim
-    h_eff, nonzeros, grids = _term_values(problem)
+    h_eff, nonzeros, values = _term_values(problem)
     operators = (problem.hamiltonian.entries, h_eff, *(op.entries for op in problem.collapse_ops))
     key = (problem.layout, *((op != 0).tobytes() for op in operators))
     patterns = {} if patterns is None else patterns
     pattern = patterns[key] = patterns.get(key) or _Pattern(problem, nonzeros, patterns)
-    pattern.fill(grids)
-    block = _real_block(pattern.top, d, pattern.real) if pattern.dense else pattern.block
+    block = pattern.fill(values)
     ratio, solve = _inverse_condition(block)
     if not ratio >= KERNEL_TOL:
         raise DegenerateSteadyStateError(
@@ -661,7 +659,8 @@ def evolve_schedule(schedule: DriveSchedule, grid: Sequence[float]) -> Trajector
     """Evolve through the schedule's segments, keeping the state continuous.
 
     The Lindblad problem is rebuilt for each segment from its drives and
-    the shared noise specification.  Grid times must lie within
+    the shared noise specification, on one set of embedded operators for
+    the whole call.  Grid times must lie within
     [0, total duration + ``BOUNDARY_TOL``]; segment boundaries are crossed
     exactly.  A grid time within ``BOUNDARY_TOL`` after a segment's end is
     sampled in that segment.
@@ -670,7 +669,7 @@ def evolve_schedule(schedule: DriveSchedule, grid: Sequence[float]) -> Trajector
     _check_grid(grid)
     if grid[-1] > schedule.total_duration + BOUNDARY_TOL:
         raise ValueError("grid extends past the end of the schedule")
-    layout = schedule.initial_state.layout
+    ops = embedded_operators(schedule.initial_state.layout)
     states: list = []
     rho = schedule.initial_state
     t_start = 0.0
@@ -685,8 +684,8 @@ def evolve_schedule(schedule: DriveSchedule, grid: Sequence[float]) -> Trajector
         local = np.concatenate(([t_start], seg_times[n_start:]))
         if t_end > local[-1] + BOUNDARY_TOL:
             local = np.append(local, t_end)
-        h = build_color_variant(seg.omega, seg.delta, seg.w1, seg.w2, seg.builder, layout)
-        sub = evolve(build_lindblad(h, schedule.noise), rho, local)
+        h = build_color_variant(seg.omega, seg.delta, seg.w1, seg.w2, seg.builder, ops)
+        sub = evolve(build_lindblad(h, schedule.noise, ops), rho, local)
         states += [sub.states[0]] * n_start + list(sub.states[1:1 + seg_times.size - n_start])
         rho = sub.states[-1]
         t_start = t_end

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .builders import (
     RECIPES,
+    EmbeddedOperators,
     NoiseSpec,
     RabiDrive,
     SidebandDrive,
@@ -40,6 +41,7 @@ from .builders import (
     build_lindblad,
     build_odd_parity_system,
     build_qubit_block,
+    embedded_operators,
     plan_stabilization,
 )
 from .dynamics import (
@@ -208,9 +210,11 @@ def validate_config(raw: dict) -> dict:
         _noise_from_config(cfg["noise"])
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
-    check = KINDS[cfg["kind"]].check
-    if check is not None:
-        check(cfg, raw)
+    spec = KINDS[cfg["kind"]]
+    if spec.check is not None:
+        spec.check(cfg, raw)
+    if spec.drives_from_family and "family" in raw:
+        cfg["drives"] = _merge(FAMILY_DRIVES[cfg["family"]], raw.get("drives", {}), "drives.")
     return cfg
 
 
@@ -254,13 +258,12 @@ def _family_drives(cfg: dict, family: str) -> dict:
     return drives
 
 
-def _bell_problem(family: str, d: dict, noise: NoiseSpec, layout: SpaceLayout):
+def _bell_problem(family: str, d: dict, noise: NoiseSpec, ops: EmbeddedOperators):
     """The Bell recipe of `family` at rad/us drives `d`, and its target."""
-    if family == "psi":
-        h = build_even_parity_system(d["omega"], d["delta"], d["w1"], d["w2"], layout)
-        return build_lindblad(h, noise), bell_psi_minus()
-    h = build_odd_parity_system(d["omega"], d["delta"], d["w1"], d["w2"], layout)
-    return build_lindblad(h, noise), bell_phi_minus()
+    build, target = ((build_even_parity_system, bell_psi_minus) if family == "psi"
+                     else (build_odd_parity_system, bell_phi_minus))
+    h = build(d["omega"], d["delta"], d["w1"], d["w2"], ops)
+    return build_lindblad(h, noise, ops), target()
 
 
 def _ground_state(layout: SpaceLayout) -> DensityMatrix:
@@ -278,13 +281,13 @@ def _qubit_state(state: DensityMatrix) -> np.ndarray:
     return partial_trace(state, {"q1", "q2"}).entries
 
 
-def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, layout: SpaceLayout,
+def _planned_qubit_state(hqq, d: dict, colors: tuple, noise: NoiseSpec, ops: EmbeddedOperators,
                          patterns: dict):
     """Reduced two-qubit steady state of a planned stabilization of `hqq`,
     and the plan's target (the ground state of `hqq`)."""
     plan = plan_stabilization(hqq, d["w1"], d["w2"], colors)
-    rq = _qubit_state(steady_state(build_lindblad(build_from_plan(plan, layout), noise), patterns))
-    return rq, plan.target
+    problem = build_lindblad(build_from_plan(plan, ops), noise, ops)
+    return _qubit_state(steady_state(problem, patterns)), plan.target
 
 
 def _theta_values(grid: dict) -> list:
@@ -310,24 +313,12 @@ def _check_theta_grid(cfg: dict, raw: dict):
     _require(cfg["grid"]["start_deg"] <= cfg["grid"]["stop_deg"], "theta grid needs start <= stop")
 
 
-def _pull_family_drives(cfg: dict, raw: dict):
-    # a named family's drives, with any listed in the raw config on top
-    if "family" in raw:
-        cfg["drives"] = _merge(FAMILY_DRIVES[cfg["family"]], raw.get("drives", {}), "drives.")
-
-
 def _check_time_domain(cfg: dict, raw: dict):
     # the last sample, whose fidelity the summary reports as final, must lie at t_max
     t_max, dt = cfg["grid"]["t_max_us"], cfg["grid"]["dt_us"]
     steps = np.rint(t_max / dt)  # inf, and rejected, past the float range
     _require(steps >= 1 and abs(t_max - steps * dt) <= 1e-9 * dt,
              f"grid.t_max_us = {t_max!r} must be a whole multiple of grid.dt_us = {dt!r}")
-    _pull_family_drives(cfg, raw)
-
-
-def _check_rate_model_compare(cfg: dict, raw: dict):
-    _check_theta_grid(cfg, raw)
-    _pull_family_drives(cfg, raw)
 
 
 def _check_segments(cfg: dict, raw: dict):
@@ -338,24 +329,24 @@ def _check_segments(cfg: dict, raw: dict):
             _require(key in ("parity", "duration_us"), f"unknown config key 'segments[{i}].{key}'")
 
 
-def _time_domain_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _time_domain_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                        patterns: dict) -> list:
-    problem, target = _bell_problem(cfg["family"], _drives_rad(cfg["drives"]), noise, layout)
+    problem, target = _bell_problem(cfg["family"], _drives_rad(cfg["drives"]), noise, ops)
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, cfg["grid"]["t_max_us"] + 1e-9 * dt, dt)
-    traj = evolve(problem, _ground_state(layout), grid, target=target)
+    traj = evolve(problem, _ground_state(ops.layout), grid, target=target)
     return [(float(t), float(f), float(p), float(par))
             for t, f, p, par in zip(traj.times, traj.fidelity, traj.purity, traj.parity)]
 
 
-def _parity_switch_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _parity_switch_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                          patterns: dict) -> list:
     segments = tuple(
         ScheduleSegment(seg["duration_us"], seg["parity"] + "_parity",
                         **_drives_rad(cfg["drives"][seg["parity"]]))
         for seg in cfg["segments"]
     )
-    schedule = DriveSchedule(segments, _ground_state(layout), noise)
+    schedule = DriveSchedule(segments, _ground_state(ops.layout), noise)
     dt = cfg["grid"]["dt_us"]
     grid = np.arange(0.0, schedule.total_duration + 1e-9 * dt, dt)
     traj = evolve_schedule(schedule, grid)
@@ -390,14 +381,14 @@ def _theta_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     return cfg["family"], _drives_rad(cfg["drives"]), noise, math.radians(job[1])
 
 
-def _theta_spectroscopy_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _theta_spectroscopy_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                               patterns: dict) -> list:
     family, d, noise, theta = _theta_inputs(cfg, job, noise)
     delta = delta_for_blending_angle(d["omega"], theta)
     qq_color, colors, swapped, target = _BLENDING[family]
     hqq = build_qubit_block(qq=SidebandDrive(qq_color, d["omega"], delta))
     rq, _ = _planned_qubit_state(hqq, d, swapped if cfg.get("swap_colors") else colors,
-                                 noise, layout, patterns)
+                                 noise, ops, patterns)
     target = target(theta)
     return [(job[1], delta / TWO_PI, fidelity(rq, target), purity(rq), parity_signature(rq))]
 
@@ -425,22 +416,22 @@ def _omega_kappa_inputs(cfg: dict, job, noise: NoiseSpec) -> tuple:
     return cfg["family"], drives, _with_kappa(noise, kappa_mhz), math.pi / 2.0
 
 
-def _bell_steady(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec, patterns: dict):
+def _bell_steady(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec, patterns: dict):
     """Reduced steady state and target of the job's Bell recipe."""
     family, d, noise, _ = KINDS[cfg["kind"]].inputs(cfg, job, noise)
-    problem, target = _bell_problem(family, d, noise, layout)
+    problem, target = _bell_problem(family, d, noise, ops)
     return _qubit_state(steady_state(problem, patterns)), target
 
 
-def _tphi_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec, patterns: dict) -> list:
-    rq, target = _bell_steady(cfg, job, layout, noise, patterns)
+def _tphi_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec, patterns: dict) -> list:
+    rq, target = _bell_steady(cfg, job, ops, noise, patterns)
     return [(job[0], float(job[1]), fidelity(rq, target), purity(rq))]
 
 
-def _kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec, patterns: dict) -> list:
+def _kappa_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec, patterns: dict) -> list:
     family, ratio = job
     kappa_mhz = ratio * float(_family_drives(cfg, family)["w1_mhz"])
-    rq, target = _bell_steady(cfg, job, layout, noise, patterns)
+    rq, target = _bell_steady(cfg, job, ops, noise, patterns)
     return [(family, float(ratio), kappa_mhz, fidelity(rq, target), purity(rq))]
 
 
@@ -454,14 +445,14 @@ def _kappa_peaks(cfg: dict, named: dict) -> dict:
     return {"peak": peak}
 
 
-def _omega_kappa_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _omega_kappa_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                        patterns: dict) -> list:
-    rq, target = _bell_steady(cfg, job, layout, noise, patterns)
+    rq, target = _bell_steady(cfg, job, ops, noise, patterns)
     f = fidelity(rq, target)
     return [(float(job[0]), float(job[1]), f, 1.0 - f)]
 
 
-def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _dressed_parity_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                           patterns: dict) -> list:
     branch, a_over_om = job
     d = _drives_rad(cfg["drives"])
@@ -471,25 +462,24 @@ def _dressed_parity_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
     hqq = build_qubit_block(qq=SidebandDrive(branch, d["omega"], 0.0), rabi_q1=RabiDrive(a1, 0.0))
     # each branch refills like the parity recipe with its qubit-qubit color
     colors = RECIPES["even_parity" if branch == "blue" else "odd_parity"].qr
-    rq, _ = _planned_qubit_state(hqq, d, colors, noise, layout, patterns)
+    rq, _ = _planned_qubit_state(hqq, d, colors, noise, ops, patterns)
     return [(branch, float(a_over_om), math.degrees(theta1), fidelity(rq, target), purity(rq))]
 
 
-def _rabi_dressed_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _rabi_dressed_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                         patterns: dict) -> list:
     d_over_om, a_over_om = job
     d = _drives_rad(cfg["drives"])
     delta, a1 = d_over_om * d["omega"], a_over_om * d["omega"]
     # the plan's target is rabi_dressed_state's: the block's phase-fixed ground state
     hqq = rabi_dressed_block(delta, a1, d["omega"])
-    rq, target = _planned_qubit_state(hqq, d, RECIPES["even_parity"].qr, noise, layout,
-                                     patterns)
+    rq, target = _planned_qubit_state(hqq, d, RECIPES["even_parity"].qr, noise, ops, patterns)
     return [(float(d_over_om), float(a_over_om), fidelity(rq, target), purity(rq))]
 
 
-def _rate_model_point(cfg: dict, job, layout: SpaceLayout, noise: NoiseSpec,
+def _rate_model_point(cfg: dict, job, ops: EmbeddedOperators, noise: NoiseSpec,
                       patterns: dict) -> list:
-    f = _theta_spectroscopy_point(cfg, job, layout, noise, patterns)[0][2]
+    f = _theta_spectroscopy_point(cfg, job, ops, noise, patterns)[0][2]
     f_rate = _rate_model_fidelity(cfg, job, noise)
     return [(job[1], f, f_rate, abs(f - f_rate))]
 
@@ -512,16 +502,18 @@ def _rate_model_fidelity(cfg: dict, job, noise: NoiseSpec) -> float:
 class KindSpec:
     """Everything the runner knows about one scenario kind.
 
-    `point(cfg, job, layout, noise, patterns)` returns the rows of one job
-    from `jobs(cfg)`; `patterns` is the dict of generator patterns that its
-    steady_state calls share (see :func:`stabsim.dynamics.steady_state`).
+    `point(cfg, job, ops, noise, patterns)` returns the rows of one job from
+    `jobs(cfg)`.  It owns neither `ops`, the embedded operators of the
+    config's layout, nor `patterns`, the generator patterns of its
+    steady_state calls: the :func:`run_scenario` call owns both.
     Optional hooks: `check(cfg, raw)` validates (and may fill in)
     kind-specific fields, `summary(cfg, named_columns)` adds summary
-    entries.  A kind with a rate-model counterpart has
-    `inputs(cfg, job, noise)`, the job's (family, rad/us drives, NoiseSpec,
-    blending angle), which its point and the rate model both read; with a
-    `label`, a format string of the job's fields, :func:`compare_analytic`
-    tabulates it.
+    entries.  A kind with `drives_from_family` runs the drives of the
+    `family` a raw config names, with any it lists on top.  A kind with a
+    rate-model counterpart has `inputs(cfg, job, noise)`, the job's (family,
+    rad/us drives, NoiseSpec, blending angle), which its point and the rate
+    model both read; with a `label`, a format string of the job's fields,
+    :func:`compare_analytic` tabulates it.
     """
 
     mirrors: str
@@ -533,6 +525,7 @@ class KindSpec:
     summary: Optional[Callable] = None
     inputs: Optional[Callable] = None
     label: Optional[str] = None
+    drives_from_family: bool = False
 
 
 KINDS = {
@@ -543,6 +536,7 @@ KINDS = {
         columns=("t_us", "fidelity", "purity", "parity"),
         jobs=_single_job, point=_time_domain_point, check=_check_time_domain,
         summary=lambda cfg, named: {"final_fidelity": named["fidelity"][-1]},
+        drives_from_family=True,
     ),
     "theta_spectroscopy": KindSpec(
         mirrors="steady-state fidelity across the blending-angle family",
@@ -625,8 +619,8 @@ KINDS = {
                   "noise": dict(MEASURED_NOISE, tphi_us=None),
                   "grid": dict(_THETA_GRID_DEFAULT, step_deg=10.0)},
         columns=("theta_deg",) + _COMPARISON,
-        jobs=_theta_jobs, point=_rate_model_point, check=_check_rate_model_compare,
-        inputs=_theta_inputs,
+        jobs=_theta_jobs, point=_rate_model_point, check=_check_theta_grid,
+        inputs=_theta_inputs, drives_from_family=True,
     ),
 }
 
@@ -635,10 +629,15 @@ KINDS = {
 # job enumeration and execution
 
 
-def _run_job(cfg: dict, job, patterns: dict) -> list:
+def _shared(cfg: dict) -> tuple:
+    """The embedded operators of the config's layout, and the patterns dict."""
     dim = cfg["resonator_dim"]
-    layout = SpaceLayout((("q1", 2), ("q2", 2), ("r1", dim), ("r2", dim)))
-    return KINDS[cfg["kind"]].point(cfg, job, layout, _noise_from_config(cfg["noise"]), patterns)
+    return embedded_operators(SpaceLayout((("q1", 2), ("q2", 2), ("r1", dim), ("r2", dim)))), {}
+
+
+def _run_job(cfg: dict, job, shared: tuple) -> list:
+    ops, patterns = shared
+    return KINDS[cfg["kind"]].point(cfg, job, ops, _noise_from_config(cfg["noise"]), patterns)
 
 
 @dataclass(frozen=True)
@@ -675,10 +674,10 @@ def _summarize(cfg: dict, columns, rows) -> dict:
     return summary
 
 
-def _job_outcome(cfg: dict, job, patterns: dict) -> tuple:
-    """(rows, None), or ([], the error) when the job raises."""
+def _job_outcome(cfg: dict, job, shared: Optional[tuple]) -> tuple:
+    """(rows, None), or ([], the error) when the job raises; None `shared`: its own."""
     try:
-        return _run_job(cfg, job, patterns), None
+        return _run_job(cfg, job, shared or _shared(cfg)), None
     except Exception as exc:  # noqa: BLE001 - worker errors are data
         return [], f"{type(exc).__name__}: {exc}"
 
@@ -696,8 +695,8 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     Results are deterministic for a fixed config and seed, and
     independent of `workers` (rows merge by grid index).  `workers` None
     runs serially; an integer below 1 raises :class:`ConfigError`.  The
-    steady-state generator patterns live for this call: a serial run shares
-    one dict across its jobs, a parallel one gives each job its own.
+    layout's embedded operators and the steady-state generator patterns live
+    for this call: a serial run builds them once, a parallel one per job.
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -706,11 +705,11 @@ def run_scenario(raw_config: dict, workers: Optional[int] = None) -> SweepResult
     jobs = spec.jobs(cfg)
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_job_outcome, cfg, job, {}) for job in jobs]
+            futures = [pool.submit(_job_outcome, cfg, job, None) for job in jobs]
             outcomes = [_collect(f) for f in futures]
     else:
-        patterns: dict = {}
-        outcomes = [_job_outcome(cfg, job, patterns) for job in jobs]
+        shared = _shared(cfg)
+        outcomes = [_job_outcome(cfg, job, shared) for job in jobs]
     # a failed job has no rows
     rows = [row for job_rows, _ in outcomes for row in job_rows]
     summary = _summarize(cfg, spec.columns, rows)

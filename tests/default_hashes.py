@@ -9,7 +9,8 @@ all of them as they were:
     python tests/default_hashes.py           # print the values
     python tests/default_hashes.py --check   # exit 1 unless they equal
                                              # tests/golden/default_sha256.json;
-                                             # the last line names the kinds that moved
+                                             # the last line names each kind/file
+                                             # that moved
     python tests/default_hashes.py --write   # record them there
 
 The bytes depend on the numpy / BLAS build, so the recorded values hold
@@ -75,8 +76,8 @@ def main() -> int:
         for name, digest in files.items():
             want = expected.get(kind, {}).get(name, digest)
             mark = "" if want == digest else f"  MISMATCH, expected {want}"
-            if mark and kind not in moved:
-                moved.append(kind)
+            if mark:
+                moved.append(f"{kind}/{name}")
             print(f"{kind:22} {name:13} {digest}{mark}")
     if args.write:
         with open(GOLDEN, "w", encoding="utf-8") as fh:

@@ -15,6 +15,7 @@ from stabsim.builders import (
     build_lindblad,
     build_odd_parity_system,
     build_qubit_block,
+    embedded_operators,
     plan_stabilization,
 )
 from stabsim.dynamics import evolve, steady_state
@@ -496,6 +497,19 @@ class TestBuildLindblad:
         traj = evolve(problem, rho0, times)
         for t, state in zip(traj.times, traj.states):
             assert abs(state.entries[0, 1] - 0.5 * math.exp(-t / tphi)) < 1e-6
+
+    def test_an_operator_set_builds_the_same_problem_on_its_own_layout(self):
+        noise = NoiseSpec(kappa1=1.0, kappa2=1.2, t1_q1=10.0, t1_q2=12.0, tphi_q1=5.0, tphi_q2=6.0)
+        ops = embedded_operators(LAYOUT)
+        h = build_even_parity_system(1.0, 0.3, 0.1, 0.2, LAYOUT)
+        assert np.array_equal(build_even_parity_system(1.0, 0.3, 0.1, 0.2, ops).entries, h.entries)
+        shared, own = build_lindblad(h, noise, ops), build_lindblad(h, noise)
+        assert len(shared.collapse_ops) == len(own.collapse_ops) == 6
+        for a, b in zip(shared.collapse_ops, own.collapse_ops):
+            assert np.array_equal(a.entries, b.entries)
+        other = embedded_operators(SpaceLayout((("q1", 2), ("q2", 2), ("r1", 3), ("r2", 3))))
+        with pytest.raises(ValueError, match="another layout"):
+            build_lindblad(h, noise, other)
 
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):

@@ -19,12 +19,13 @@ from stabsim.builders import (
     build_even_parity_system,
     build_lindblad,
     build_odd_parity_system,
+    build_from_plan,
     build_qubit_block,
+    plan_stabilization,
     LindbladProblem,
 )
 from stabsim.dynamics import (
     _inverse_condition,
-    _real_block,
     DegenerateSteadyStateError,
     DriveSchedule,
     FitError,
@@ -44,7 +45,7 @@ from stabsim.hilbert import ComplexOperator, DensityMatrix, SpaceLayout, annihil
 import stabsim.dynamics
 import stabsim.scenarios
 from stabsim.scenarios import run_scenario
-from stabsim.targets import bell_psi_minus
+from stabsim.targets import bell_psi_minus, rabi_dressed_block
 
 TWO_PI = 2 * math.pi
 LAYOUT = SpaceLayout()
@@ -672,11 +673,63 @@ def real_bordered(problem):
     """The trace-bordered k = 0 block in real Hermitian coordinates."""
     d = problem.layout.total_dim
     i, j = np.nonzero(np.triu((charge_gaps(problem) == 0).reshape(d, d), 1))
-    order = np.concatenate([np.arange(0, d * d, d + 1), i * d + j, j * d + i])  # (ii, ij, ji)
-    bordered = liouvillian(problem, order)
+    index = (np.arange(0, d * d, d + 1), i * d + j, j * d + i)  # (ii, ij, ji)
+    bordered = liouvillian(problem, hermitian=index)
     bordered[0] = 0.0
     bordered[0, :d] = 1.0
-    return _real_block(bordered[:d + len(i)], d, np.empty(bordered.shape))
+    return bordered
+
+
+def rabi_problem(layout):
+    """A Rabi-dressed point of rabi_dressed_map's drives, which conserves no charge."""
+    omega = TWO_PI * 5.0
+    plan = plan_stabilization(rabi_dressed_block(0.3 * omega, 0.5 * omega, omega),
+                              TWO_PI * 0.5, TWO_PI * 0.5)
+    return build_lindblad(build_from_plan(plan, layout), DEVICE_NOISE)
+
+
+def hermitian_frame(problem):
+    """The row-major indices (ii, ij, ji) of the k = 0 sector, and the unitary U from
+    its coordinates (x, a, b) to (rho_ii, rho_ij, rho_ji), written out entry by entry."""
+    d = problem.layout.total_dim
+    i, j = np.nonzero(np.triu((charge_gaps(problem) == 0).reshape(d, d), 1))
+    p, s = len(i), math.sqrt(0.5)
+    u = np.zeros((d + 2 * p,) * 2, dtype=complex)
+    u[:d, :d] = np.eye(d)  # rho_ii = x_i
+    u[d:d + p, d:d + p] = u[d + p:, d:d + p] = s * np.eye(p)  # rho_ij, rho_ji = (a +- i b)/sqrt2
+    u[d:d + p, d + p:] = 1j * s * np.eye(p)
+    u[d + p:, d + p:] = -1j * s * np.eye(p)
+    return (np.arange(0, d * d, d + 1), i * d + j, j * d + i), u
+
+
+class TestRealBlockOracle:
+    """The real k = 0 block, of evolve and of steady_state, is Re(U^H L U), with L cut
+    from the full complex generator."""
+
+    @pytest.mark.parametrize("layout, family, size", [
+        (LAYOUT, even_problem, 70), (LAYOUT, rabi_problem, 256), (LAYOUT_D36, even_problem, 262),
+    ], ids=["bell_d16", "rabi_d16", "bell_d36"])
+    def test_real_block_is_the_rotated_generator(self, monkeypatch, layout, family, size):
+        problem = family(layout)
+        index, u = hermitian_frame(problem)
+        order = np.concatenate(index)
+        assert len(order) == size
+        oracle = u.conj().T @ liouvillian(problem)[np.ix_(order, order)] @ u
+        assert np.max(np.abs(oracle.imag)) <= 1e-13
+        assert np.max(np.abs(liouvillian(problem, hermitian=index) - oracle.real)) <= 1e-13
+        blocks = []
+        real = stabsim.dynamics._inverse_condition
+
+        def recording(mat):
+            blocks.append(mat.copy())  # before the LU overwrites it
+            return real(mat)
+
+        monkeypatch.setattr(stabsim.dynamics, "_inverse_condition", recording)
+        steady_state(problem)
+        bordered = oracle.real
+        bordered[0] = 0.0
+        bordered[0, :layout.total_dim] = 1.0  # row x_0: the trace functional
+        assert np.max(np.abs(blocks[0] - bordered)) <= 1e-13
 
 
 def null_space_state(problem):
@@ -894,7 +947,7 @@ class TestSteadyPatterns:
                 rho = steady_state(problem, patterns).entries
                 assert rho.tobytes() == steady_state(problem).entries.tobytes()
             first, second = patterns.values()
-            assert first.top is second.top and len(first.order) == len(second.order) == 70
+            assert first.block is second.block and len(first.order) == len(second.order) == 70
 
     def test_collapse_sets_never_share_a_pattern(self):
         finite = even_problem(LAYOUT)

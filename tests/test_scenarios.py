@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from stabsim import cli, scenarios
+from stabsim import builders, cli, scenarios
 from stabsim.builders import plan_stabilization
 from stabsim.calibration import load_device_table
 from stabsim.cli import main
@@ -454,6 +454,54 @@ class TestDeterminism:
         assert meta["mirrors"]
 
 
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """Counts the calls through builders' annihilation and number_op bindings."""
+    calls = []
+    for name in ("annihilation", "number_op"):
+        def counting(*args, real=getattr(builders, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(builders, name, counting)
+    return calls
+
+
+def omega_kappa_map(omegas, kappas):
+    return {"kind": "omega_kappa_map", "grid": {"omega_mhz": omegas, "kappa_mhz": kappas}}
+
+
+class TestEmbeddedOperatorScope:
+    """A run embeds its layout's operators once for all its points, and never shares
+    them with another run."""
+
+    def test_operator_calls_do_not_grow_with_the_points(self, operator_calls):
+        counts = []
+        for omegas, kappas in (([2.0], [0.4, 0.6]), ([1.0, 2.0], [0.4, 0.5, 0.6, 0.7])):
+            operator_calls.clear()
+            rows = run_scenario(omega_kappa_map(omegas, kappas)).rows
+            assert len(rows) == len(omegas) * len(kappas)
+            counts.append(len(operator_calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_each_run_builds_its_own_set(self, monkeypatch, operator_calls):
+        sets = []
+        real = scenarios.build_lindblad
+
+        def recording(h, noise, ops):
+            sets.append(ops)
+            return real(h, noise, ops)
+
+        monkeypatch.setattr(scenarios, "build_lindblad", recording)
+        counts = []
+        for _ in range(2):
+            operator_calls.clear()
+            run_scenario(omega_kappa_map([2.0], [0.4, 0.6]))
+            counts.append(len(operator_calls))
+        assert counts[0] == counts[1] > 0
+        assert sets[0] is sets[1] and sets[2] is sets[3] and sets[1] is not sets[2]
+
+
 class TestCompareAnalytic:
     def test_small_decay_regime_agrees(self):
         # the rate model holds in the perturbative regime W << Omega;
@@ -671,6 +719,14 @@ class TestCli:
         assert main(["show-config", "tphi_sweep"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert cfg == default_config("tphi_sweep")
+
+    @pytest.mark.parametrize("kind", ["time_domain", "rate_model_compare"])
+    def test_shown_family_config_runs_the_family_drives(self, capsys, kind):
+        assert main(["show-config", kind]) == 0
+        cfg = json.loads(capsys.readouterr().out)
+        assert "drives" not in cfg
+        cfg["family"] = "phi"
+        assert validate_config(cfg)["drives"] == FAMILY_DRIVES["phi"]
 
     def test_parser_built_once_and_parses_stay_apart(self, monkeypatch, tmp_path):
         builds = []
