@@ -24,7 +24,10 @@ trace-bordered k = 0 block by one LU, dense and real up to
 gives the conditioning estimate that rejects a kernel that is not
 one-dimensional (:func:`steady_state`).  Everything but the generator's
 values is built once per layout and nonzero pattern of the operators, and
-a sweep's points of one pattern only scatter their values.
+a sweep's points of one pattern only scatter their values.  Each scipy name
+is imported where it is first used, so importing this module loads no scipy,
+a dense steady solve only ``scipy.linalg``, a trace ``scipy.sparse``, and
+only a switch fit ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.optimize import brentq
-from scipy.sparse import csc_array, csr_array
-from scipy.sparse.linalg import splu
 
 from .builders import (RECIPES, LindbladProblem, NoiseSpec, build_color_variant, build_lindblad,
                        embedded_operators)
@@ -382,6 +381,7 @@ def evolve(
     gaps = charge_gaps(problem)
     index = _hermitian_index(gaps, d)
     sectors = [np.flatnonzero(gaps == k) for k in np.unique(np.abs(gaps[flat[0] != 0])) if k > 0]
+    from scipy.sparse import csr_array
     gens = [csr_array(liouvillian(problem, hermitian=index))]
     gens += [csr_array(liouvillian(problem, sector)) for sector in sectors]
     off = flat[0, index[1]] * math.sqrt(2.0)
@@ -450,6 +450,7 @@ def _inverse_condition(mat) -> tuple:
         v = adjoint @ u
         v /= np.linalg.norm(v)
     if isinstance(mat, np.ndarray):
+        from scipy.linalg.lapack import dgetrf, dgetrs
         lu, piv, info = dgetrf(mat, overwrite_a=1)
         if info > 0:
             raise DegenerateSteadyStateError(
@@ -458,6 +459,7 @@ def _inverse_condition(mat) -> tuple:
         def solve(rhs, trans="N"):
             return dgetrs(lu, piv, rhs, trans=int(trans == "H"))[0]
     else:
+        from scipy.sparse.linalg import splu
         try:
             solve = splu(mat).solve
         except RuntimeError as exc:  # SuperLU reports an exactly singular factor
@@ -513,6 +515,7 @@ class _Pattern:
             twins = [p for p in patterns.values() if p.dense and p.block.shape == (size, size)]
             self.block = twins[0].block if twins else np.empty((size, size), order="F")
             return
+        from scipy.sparse import csc_array
         rows, cols, source = _term_entries(nonzeros, d, self.order[1:], self.order)
         keys = cols * size + rows + 1  # column-major, as CSC
         stored = np.unique(np.concatenate([keys, trace]))
@@ -714,6 +717,7 @@ def fit_time_constant(times, values) -> TimeConstantFit:
     ``brentq``.  Needs 5 samples.  Non-finite samples, times that do not strictly
     increase, or no such root (a flat, straight or growing trace) raise FitError.
     """
+    from scipy.optimize import brentq
     t, v = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     if t.size != v.size:
         raise ValueError("times and values must have equal length")

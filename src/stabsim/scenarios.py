@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -745,10 +746,13 @@ def _cell(text: str):
 
 def read_result(path) -> SweepResult:
     """Read back what :func:`write_result` wrote: `path` is the output
-    directory or its result.csv, with summary.json beside it.  Cells that
-    parse as numbers come back as floats."""
+    directory or its result.csv, with summary.json beside it; a `path` that
+    does not exist raises FileNotFoundError naming it.  Cells that parse as
+    numbers come back as floats."""
     if os.path.isdir(path):
         path = os.path.join(path, "result.csv")
+    elif not os.path.exists(path):
+        raise FileNotFoundError(errno.ENOENT, "no result directory or result.csv", str(path))
     with open(os.path.join(os.path.dirname(path), "summary.json"), encoding="utf-8") as fh:
         saved = json.load(fh)
     with open(path, newline="", encoding="utf-8") as fh:

@@ -3,8 +3,9 @@
 Runs every kind that ``stabsim list-scenarios`` names with its
 ``show-config`` default config and ``--workers 2`` in a temporary
 directory, and prints the sha256 of its ``result.csv`` and
-``summary.json``. A refactor that is meant to change no number must leave
-all of them as they were:
+``summary.json`` and the wall time of its ``stabsim run`` process,
+interpreter start-up and imports included. A refactor that is meant to
+change no number must leave all the hashes as they were:
 
     python tests/default_hashes.py           # print the values
     python tests/default_hashes.py --check   # exit 1 unless they equal
@@ -24,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden", "default_sha256.json")
@@ -39,9 +41,10 @@ def _stabsim(*args: str, cwd: str) -> str:
     return done.stdout
 
 
-def default_hashes() -> dict:
-    """kind -> {output file name -> sha256 hex digest}."""
-    hashes = {}
+def default_hashes() -> tuple:
+    """kind -> {output file name -> sha256 hex digest}, and kind -> wall time
+    (s) of its ``stabsim run`` process."""
+    hashes, seconds = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         kinds = [line.split()[0] for line in _stabsim("list-scenarios", cwd=tmp).splitlines()
                  if line.strip()]
@@ -50,12 +53,14 @@ def default_hashes() -> dict:
             with open(config, "w", encoding="utf-8") as fh:
                 fh.write(_stabsim("show-config", kind, cwd=tmp))
             out = os.path.join(tmp, kind)
+            start = time.perf_counter()
             _stabsim("run", config, "--out", out, "--workers", "2", cwd=tmp)
+            seconds[kind] = time.perf_counter() - start
             hashes[kind] = {}
             for name in OUTPUTS:
                 with open(os.path.join(out, name), "rb") as fh:
                     hashes[kind][name] = hashlib.sha256(fh.read()).hexdigest()
-    return hashes
+    return hashes, seconds
 
 
 def main() -> int:
@@ -66,7 +71,7 @@ def main() -> int:
                         help=f"compare with {golden}; exit 1 on a mismatch")
     action.add_argument("--write", action="store_true", help=f"record the values in {golden}")
     args = parser.parse_args()
-    hashes = default_hashes()
+    hashes, seconds = default_hashes()
     expected = {}
     if args.check:
         with open(GOLDEN, encoding="utf-8") as fh:
@@ -79,6 +84,7 @@ def main() -> int:
             if mark:
                 moved.append(f"{kind}/{name}")
             print(f"{kind:22} {name:13} {digest}{mark}")
+        print(f"{kind:22} {'run':13} {seconds[kind]:.2f} s")
     if args.write:
         with open(GOLDEN, "w", encoding="utf-8") as fh:
             json.dump(hashes, fh, indent=1)

@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,6 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
+import scipy.sparse.linalg
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import MatrixRankWarning
 
@@ -781,14 +787,16 @@ class TestSteadyStateReference:
 @pytest.fixture
 def steady_factors(monkeypatch):
     """Counts the factorizations steady_state makes: "dense" real LUs (dgetrf) and
-    "sparse" complex LUs (splu)."""
+    "sparse" complex LUs (splu), at the scipy modules it imports them from when
+    it first factors."""
     counts = {"dense": 0, "sparse": 0}
-    for path, name in (("dense", "dgetrf"), ("sparse", "splu")):
-        def counting(*args, _real=getattr(stabsim.dynamics, name), _path=path, **kwargs):
+    for path, module, name in (("dense", scipy.linalg.lapack, "dgetrf"),
+                               ("sparse", scipy.sparse.linalg, "splu")):
+        def counting(*args, _real=getattr(module, name), _path=path, **kwargs):
             counts[_path] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(stabsim.dynamics, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -1136,3 +1144,49 @@ class TestFitTimeConstant:
                 fit_time_constant(t, trace(t))
         else:
             assert fit_time_constant(t, trace(t)).tau == pytest.approx(tau, abs=1e-10)
+
+
+# Each stage runs after the ones before it in one interpreter and prints which of
+# these scipy modules are loaded by then.
+SCIPY_STAGES = """
+import json, sys
+def loaded():
+    names = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.optimize")
+    return [name for name in names if name in sys.modules]
+stages = []
+import stabsim, stabsim.cli
+from stabsim import dynamics
+from stabsim.scenarios import run_scenario
+stages.append(loaded())
+tphi = {"kind": "tphi_sweep", "families": ["psi"], "grid": {"tphi_us": [30.0]}}
+run_scenario(tphi, workers=1)
+stages.append(loaded())
+run_scenario({"kind": "time_domain", "grid": {"t_max_us": 0.5, "dt_us": 0.25}}, workers=1)
+stages.append(loaded())
+dynamics.DENSE_STEADY_ROWS = 0
+run_scenario(tphi, workers=1)
+stages.append(loaded())
+run_scenario({"kind": "parity_switch", "fit_window_us": 1.0,
+              "segments": [{"parity": "even", "duration_us": 1.5},
+                           {"parity": "odd", "duration_us": 1.5}]}, workers=1)
+stages.append(loaded())
+print(json.dumps(stages))
+"""
+
+
+class TestScipyImports:
+    """stabsim imports each scipy module where a run first uses it, so a process
+    loads only the scipy its commands and run kinds need."""
+
+    def test_each_path_loads_only_its_scipy(self):
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stabsim.dynamics.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", SCIPY_STAGES], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        imported, dense, trace, sparse, fit = json.loads(done.stdout)
+        assert imported == []  # the CLI and every module of the package
+        assert dense == ["scipy.linalg"]  # a d = 16 steady point, B = 70: dense real LU
+        assert trace == ["scipy.linalg", "scipy.sparse"]  # csr_array blocks, no fit
+        assert "scipy.sparse.linalg" in sparse and "scipy.optimize" not in sparse  # SuperLU
+        assert "scipy.optimize" in fit  # a parity switch fits its window

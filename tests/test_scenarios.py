@@ -660,6 +660,14 @@ class TestCli:
         assert main(argv) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name", ["nonexist", "result.csv"])
+    def test_compare_names_a_result_path_that_does_not_exist(self, name, tmp_path, capsys):
+        missing = str(tmp_path / "absent" / name)
+        assert main(["compare", missing, "--analytic"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(missing) in err[0]
+        assert "summary.json" not in err[0]
+
     @pytest.mark.parametrize("summary_edit,csv_edit", [
         (lambda s: s["metadata"].pop("kind"), None),
         (lambda s: s["metadata"]["config"].pop("grid"), None),
